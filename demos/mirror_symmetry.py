@@ -34,7 +34,7 @@ b = Gamma2Element((0, 0, 1, 0))
 print(f"\npairing of dual basis vectors: {weil_pairing(a, b)}")
 print(f"pairing of anything with itself: {weil_pairing(a, a)}")
 
-# exhaustive sweeps; every nonzero gamma gets its own right-hand side
+# exhaustive sweeps; every nonzero gamma is checked against the left side
 for g in (2, 3, 4):
     report = mirror_verify(g)
     print(f"\ngenus {g}: {report.elements_checked} elements checked, "

@@ -6,7 +6,8 @@ or LaTeX.  Exit codes are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
-        identity violation, internal consistency assertion)
+        identity violation, a Weil pairing that is not alternating,
+        internal consistency assertion)
     2   invalid input (bad flags, out-of-range parameters)
 
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
@@ -34,7 +35,7 @@ from .stability import (
 
 __all__ = ["build_parser", "run", "main"]
 
-EXHAUSTIVE_MIRROR_MAX_GENUS = 6
+EXHAUSTIVE_MIRROR_MAX_GENUS = 8
 DEFAULT_MIRROR_SAMPLE = 64
 
 
@@ -278,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mirror", help="verify the rank-2 mirror-symmetry identity")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--sample", type=int, default=None,
-                   help="check this many random elements instead of all "
-                   f"(default: exhaustive through genus {EXHAUSTIVE_MIRROR_MAX_GENUS}, "
+                   help="check this many random nonzero elements instead of all "
+                   f"(default: all 2^(2g)-1 through genus {EXHAUSTIVE_MIRROR_MAX_GENUS}, "
                    f"{DEFAULT_MIRROR_SAMPLE} samples above)")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)

@@ -21,15 +21,24 @@ The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 
 Both sides carry the E-polynomial sign convention, which weights the
 monomial u^p v^q by (-1)^(p+q); concretely the sign arrives here as the
-substitution (u, v) -> (-u, -v) on the bare Hodge sums.  The right-hand
-average is computed by literally summing the 2^(2g) pairing terms; no
-closed-form shortcut is taken below the configurable genus cap, so the sum
-is an independent oracle for the closed form on the left.
+substitution (u, v) -> (-u, -v) on the bare Hodge sums.
+
+The right-hand average depends on gamma only through the count
+N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.  Below the configurable
+genus cap that count is read off the pairing itself, not a closed form, so
+the right side stays an independent oracle for the closed form on the
+left.  Each checked gamma's pairing row (its values on the 2g basis
+vectors) is an index a into the character sums
+S[a] = sum over gamma' of (-1)^popcount(a & gamma'), which one fast
+Walsh-Hadamard transform of the all-ones vector gives for every a at once;
+then N_-(gamma) = (2^(2g) - S[a]) / 2.  That is the literal 2^(2g)-term sum
+arranged in butterflies, O(g 4^g) for the whole sweep.  It assumes the
+pairing is bilinear in its second argument; the sweep checks that it is
+alternating, w(gamma, gamma) = 1, for every gamma it reads.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 from math import comb
 
@@ -42,6 +51,7 @@ __all__ = [
     "TrivialCharacter",
     "TrivialElement",
     "IdentityViolation",
+    "PairingNotAlternating",
     "MirrorReport",
     "weil_pairing",
     "e_poly_kappa_lhs",
@@ -51,8 +61,8 @@ __all__ = [
     "mirror_verify",
 ]
 
-# Above this genus the literal 2^(2g)-term average becomes pointlessly slow
-# and e_poly_rhs falls back to its closed form; mirror_verify samples.
+# Above this genus the 2^(2g)-entry Walsh-Hadamard transform becomes
+# pointlessly slow and the right side falls back to its closed form.
 LITERAL_AVERAGE_MAX_GENUS = 10
 
 
@@ -81,6 +91,19 @@ class IdentityViolation(ArithmeticError):
         super().__init__(
             f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
             f"coefficient of u^{p} v^{q} is {lhs_coeff} on the left, {rhs_coeff} on the right"
+        )
+
+
+class PairingNotAlternating(ArithmeticError):
+    """w(gamma, gamma) != 1: the pairing is not the alternating form the count assumes."""
+
+    def __init__(self, genus, gamma_bits, value):
+        self.genus = genus
+        self.gamma_bits = gamma_bits
+        self.value = value
+        super().__init__(
+            f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
+            f"w(gamma, gamma) is {value}, not 1; the pairing is not alternating"
         )
 
 
@@ -212,19 +235,72 @@ def prym_e_poly(g: int) -> BivarPoly:
     return bivar_eval_signed_binomial(g, 1, 1)
 
 
-def _averaged_prym(g: int, gamma: Gamma2Element) -> BivarPoly:
+def _character_sums(g: int) -> list[int]:
+    """
+    S[a] = sum over x in GF(2)^(2g) of (-1)^popcount(a & x), for every a:
+    one in-place Walsh-Hadamard transform of the all-ones vector.  Each
+    stage pairs entry i with entry i + h in whole slices, strided while h is
+    small and blockwise once it is large, so the Python loop stays short.
+    """
+    n = 1 << (2 * g)
+    sums = [1] * n
+    h = 1
+    while h < n:
+        if h * h < n:
+            pairs = [(slice(j, n, 2 * h), slice(j + h, n, 2 * h)) for j in range(h)]
+        else:
+            pairs = [(slice(i, i + h), slice(i + h, i + 2 * h)) for i in range(0, n, 2 * h)]
+        for lo, hi in pairs:
+            a, b = sums[lo], sums[hi]
+            sums[lo] = [x + y for x, y in zip(a, b)]
+            sums[hi] = [x - y for x, y in zip(a, b)]
+        h *= 2
+    return sums
+
+
+def _minus_counts(g: int, gammas):
+    """
+    Yield (gamma, N_-(gamma)) with N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.
+
+    Up to genus LITERAL_AVERAGE_MAX_GENUS, gamma's row a, bit j set when
+    w(gamma, e_j) = -1 on the basis vector e_j, gives N_-(gamma) =
+    (2^(2g) - S[a]) / 2 from the character sums, which is the count when
+    the pairing is bilinear in its second argument.  Each gamma must pair
+    to 1 with itself, or PairingNotAlternating is raised.  Above the cap
+    every count is 2^(2g-1), the value a nondegenerate pairing gives every
+    nonzero gamma, and the pairing is not read.
+    """
+    if g > LITERAL_AVERAGE_MAX_GENUS:
+        for gamma in gammas:
+            yield gamma, 1 << (2 * g - 1)
+        return
+    basis = [Gamma2Element.from_int(1 << j, g) for j in range(2 * g)]
+    sums = _character_sums(g)
+    for gamma in gammas:
+        self_pairing = weil_pairing(gamma, gamma)
+        if self_pairing != 1:
+            raise PairingNotAlternating(g, gamma.bits, self_pairing)
+        row = 0
+        for j, e in enumerate(basis):
+            if weil_pairing(gamma, e) < 0:
+                row |= 1 << j
+        yield gamma, (len(sums) - sums[row]) // 2
+
+
+def _averaged_prym(g: int, minus: int) -> BivarPoly:
     """
     The local-system average (1/2^(2g)) sum over gamma' of
-    w(gamma, gamma') (1 + w u)^(g-1) (1 + w v)^(g-1), by literal summation.
+    w(gamma, gamma') (1 + w u)^(g-1) (1 + w v)^(g-1), for a gamma with
+    N_-(gamma) = minus: 2^(2g) - minus terms have w = +1, the rest w = -1.
     """
-    plus = minus = 0
-    for other in _all_elements(g):
-        if weil_pairing(gamma, other) > 0:
-            plus += 1
-        else:
-            minus += 1
-    total = plus * bivar_eval_signed_binomial(g, 1, 1) - minus * bivar_eval_signed_binomial(g, -1, -1)
-    return total.divide_exact(2 ** (2 * g))
+    total = 1 << (2 * g)
+    plus = total - minus
+    summed = plus * bivar_eval_signed_binomial(g, 1, 1) - minus * bivar_eval_signed_binomial(g, -1, -1)
+    return summed.divide_exact(total)
+
+
+def _rhs_from_count(g: int, minus: int) -> BivarPoly:
+    return _averaged_prym(g, minus).sign_twist().shift_uv((g - 1) + fermionic_shift(g))
 
 
 def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
@@ -233,10 +309,12 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
     E-polynomial, in the E-polynomial sign convention, times
     (uv)^(g-1) (uv)^(F(gamma)).
 
-    Up to genus LITERAL_AVERAGE_MAX_GENUS the average is the literal
-    2^(2g)-term sum over the pairing; above, the closed form
-    (1/2) [(1+u)^(g-1)(1+v)^(g-1) - (1-u)^(g-1)(1-v)^(g-1)] is used (it is
-    what the literal sum gives for every nonzero gamma, by nondegeneracy).
+    Up to genus LITERAL_AVERAGE_MAX_GENUS the average takes N_-(gamma) from
+    the pairing through the Walsh-Hadamard character sums, which assumes
+    the pairing is bilinear in its second argument; above, it takes
+    N_-(gamma) = 2^(2g-1), which turns the average into the closed form
+    (1/2) [(1+u)^(g-1)(1+v)^(g-1) - (1-u)^(g-1)(1-v)^(g-1)] (what the
+    count gives for every nonzero gamma, by nondegeneracy).
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
@@ -244,18 +322,8 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
         raise LengthMismatch(f"gamma has length {len(gamma.bits)}, expected {2 * g}")
     if gamma.is_zero():
         raise TrivialElement("the averaging sector is indexed by nonzero gamma")
-    if g <= LITERAL_AVERAGE_MAX_GENUS:
-        averaged = _averaged_prym(g, gamma)
-    else:
-        averaged = (
-            bivar_eval_signed_binomial(g, 1, 1) - bivar_eval_signed_binomial(g, -1, -1)
-        ).divide_exact(2)
-    return averaged.sign_twist().shift_uv((g - 1) + fermionic_shift(g))
-
-
-@functools.lru_cache(maxsize=None)
-def _all_elements(g: int) -> tuple[Gamma2Element, ...]:
-    return tuple(Gamma2Element.from_int(i, g) for i in range(1 << (2 * g)))
+    [(_, minus)] = _minus_counts(g, [gamma])
+    return _rhs_from_count(g, minus)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,8 +339,11 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     """
     Check e_poly_kappa_lhs(g) == e_poly_rhs(g, gamma) exactly, for every
     nonzero gamma (sample=None) or for `sample` of them chosen with the
-    given seed.  Returns a report on success; raises IdentityViolation with
-    the first differing coefficient otherwise.
+    given seed.  Up to LITERAL_AVERAGE_MAX_GENUS all counts come from one
+    Walsh-Hadamard transform; the right side is built once per distinct
+    N_-(gamma).  Returns a report on
+    success; raises IdentityViolation with the first differing coefficient
+    otherwise, or PairingNotAlternating for a pairing the count cannot use.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
@@ -284,11 +355,14 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
             raise ValueError("sample must be positive")
         values = random.Random(seed).sample(range(1, population + 1), sample)
     lhs = e_poly_kappa_lhs(g)
+    rhs_by_count = {}
     rhs = None
     checked = 0
-    for value in values:
-        gamma = Gamma2Element.from_int(value, g)
-        rhs = e_poly_rhs(g, gamma)
+    gammas = (Gamma2Element.from_int(value, g) for value in values)
+    for gamma, minus in _minus_counts(g, gammas):
+        rhs = rhs_by_count.get(minus)
+        if rhs is None:
+            rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
         checked += 1
         if rhs != lhs:
             keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))

@@ -101,6 +101,11 @@ def test_criterion_4_mirror_identity(capsys, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(mirror_mod, "weil_pairing", lambda a, b: 1)
         assert cli.run(["mirror", "--genus", "2"]) == 1
+    with monkeypatch.context() as mp:
+        # not bilinear: -1 on every nonzero pair, caught by the alternation check
+        mp.setattr(mirror_mod, "weil_pairing",
+                   lambda a, b: 1 if a.is_zero() or b.is_zero() else -1)
+        assert cli.run(["mirror", "--genus", "2"]) == 1
     capsys.readouterr()
     with capsys.disabled():
         report(4, "mirror identity g=2..6 exhaustive; mutations exit 1", elapsed, 60)

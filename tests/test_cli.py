@@ -139,6 +139,12 @@ class TestMirror:
         assert code == 0
         assert "7 elements checked" in out
 
+    def test_exhaustive_through_genus_eight_by_default(self, capsys):
+        assert cli.EXHAUSTIVE_MIRROR_MAX_GENUS == 8
+        code, out, _ = invoke(capsys, "mirror", "--genus", "7")
+        assert code == 0
+        assert "16383 elements checked, pass" in out
+
     def test_identity_violation_exits_one(self, capsys, monkeypatch):
         import higgsmoduli.mirror as mirror_mod
 

@@ -1,10 +1,12 @@
 """Rank-2 topological mirror symmetry: Hodge sum vs Weil-pairing average."""
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import higgsmoduli.mirror as mirror_mod
 from higgsmoduli.exactpoly import BivarPoly
 from higgsmoduli.mirror import (
     Character,
@@ -12,6 +14,7 @@ from higgsmoduli.mirror import (
     IdentityViolation,
     LengthMismatch,
     MirrorReport,
+    PairingNotAlternating,
     TrivialCharacter,
     TrivialElement,
     e_poly_kappa_lhs,
@@ -28,6 +31,22 @@ LHS_G2 = BivarPoly({(4, 3): -1, (3, 4): -1})
 def all_elements(g):
     for bits in itertools.product((0, 1), repeat=2 * g):
         yield Gamma2Element(bits)
+
+
+def literal_minus_count(g, gamma):
+    """N_-(gamma) by the literal loop over every gamma', through the module's pairing."""
+    return sum(1 for other in all_elements(g) if mirror_mod.weil_pairing(gamma, other) < 0)
+
+
+def first_pair_only(a, b):
+    """Bilinear and alternating, but degenerate for g > 1: only bits 0 and g pair."""
+    g = a.g
+    return -1 if (a.bits[0] & b.bits[g]) ^ (a.bits[g] & b.bits[0]) else 1
+
+
+def not_bilinear(a, b):
+    """-1 on every pair of nonzero elements: each row is all ones, as for a nondegenerate form."""
+    return 1 if a.is_zero() or b.is_zero() else -1
 
 
 class TestGamma2Element:
@@ -198,6 +217,33 @@ class TestRhs:
             e_poly_rhs(1, Gamma2Element.from_int(1, 1))
 
 
+class TestWalshHadamardCount:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_character_sums_are_the_literal_sums(self, g):
+        sums = mirror_mod._character_sums(g)
+        n = 1 << (2 * g)
+        assert len(sums) == n
+        for a in range(n):
+            assert sums[a] == sum((-1) ** (a & x).bit_count() for x in range(n))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_counts_match_the_literal_loop(self, g):
+        gammas = [gamma for gamma in all_elements(g) if not gamma.is_zero()]
+        counts = list(mirror_mod._minus_counts(g, gammas))
+        assert [gamma for gamma, _ in counts] == gammas
+        for gamma, minus in counts:
+            assert minus == literal_minus_count(g, gamma) == 1 << (2 * g - 1)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_counts_match_the_literal_loop_for_a_degenerate_pairing(self, g, monkeypatch):
+        monkeypatch.setattr(mirror_mod, "weil_pairing", first_pair_only)
+        gammas = [gamma for gamma in all_elements(g) if not gamma.is_zero()]
+        counts = dict(mirror_mod._minus_counts(g, gammas))
+        for gamma in gammas:
+            assert counts[gamma] == literal_minus_count(g, gamma)
+        assert set(counts.values()) == {0, 1 << (2 * g - 1)}
+
+
 class TestMirrorVerify:
     def test_genus_two_exhaustive(self):
         report = mirror_verify(2)
@@ -210,6 +256,23 @@ class TestMirrorVerify:
 
     def test_genus_three_exhaustive(self):
         assert mirror_verify(3).elements_checked == 63
+
+    def test_genus_seven_exhaustive(self):
+        report = mirror_verify(7)
+        assert report.elements_checked == 16383
+        assert report.passed
+
+    def test_sampled_sweep_memory_is_bounded(self):
+        # the character sums are the only 4^g-sized allocation: no element table
+        mirror_verify(8, sample=8)  # warm imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            report = mirror_verify(8, sample=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.elements_checked == 8
+        assert peak < 4 * 1024 * 1024
 
     def test_sampled_sweep(self):
         report = mirror_verify(7, sample=5, seed=11)
@@ -235,6 +298,22 @@ class TestMirrorVerify:
         monkeypatch.setattr(mirror_mod, "weil_pairing", lambda a, b: 1)
         with pytest.raises(IdentityViolation):
             mirror_verify(2)
+
+    def test_rejects_a_pairing_that_is_not_alternating(self, monkeypatch):
+        # its rows are all ones, so the count alone would match a nondegenerate form
+        monkeypatch.setattr(mirror_mod, "weil_pairing", not_bilinear)
+        with pytest.raises(PairingNotAlternating) as exc_info:
+            mirror_verify(2)
+        assert exc_info.value.gamma_bits == (1, 0, 0, 0)
+        assert exc_info.value.value == -1
+
+    def test_violation_names_the_first_sampled_gamma(self, monkeypatch):
+        monkeypatch.setattr(mirror_mod, "weil_pairing", lambda a, b: 1)
+        with pytest.raises(IdentityViolation) as exc_info:
+            mirror_verify(4, sample=5, seed=3)
+        err = exc_info.value
+        assert err.gamma_bits == (1, 0, 1, 1, 1, 1, 0, 0)
+        assert (err.monomial, err.lhs_coeff, err.rhs_coeff) == ((9, 9), 0, 1)
 
     def test_violation_reports_the_monomial(self, monkeypatch):
         import higgsmoduli.mirror as mirror_mod
