@@ -112,7 +112,9 @@ def recursion_strata_count(g: int, order: int | None = None) -> int:
 def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     """
     The Atiyah-Bott recursion.  Subtracts the stratum series, shifted by
-    their codimensions, from the classifying-space series; multiplies by
+    their codimensions, from the classifying-space series (each shift moves
+    the coefficients up and drops those past the window, so the loop costs
+    O(window) additions per stratum and no multiplication); multiplies by
     (1 - t^2) to remove the central C^*; and divides exactly by the Jacobian
     factor (1+t)^(2g).  Exactness of that division, and the vanishing of all
     window coefficients above degree 8g - 6 before it, are checked; either
@@ -123,7 +125,7 @@ def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     acc = classifying_space_poly(g, window)
     stratum = strata_equivariant_poly(g, window)
     for codim in _strata_codims(g, window):
-        acc = acc - stratum * IntPoly.monomial(codim)
+        acc = acc - TruncSeries(stratum.poly.shift(codim), window)
     n_series = acc * _ONE_MINUS_T2
     n_poly = n_series.polynomial_part(8 * g - 6)
     return poly_exact_div(n_poly, _ONE_PLUS_T ** (2 * g))

@@ -8,7 +8,8 @@ or LaTeX.  Exit codes are meant for scripted pipelines:
     1   a mathematical verification failed (pipeline disagreement, mirror
         identity violation, a Weil pairing that is not alternating,
         internal consistency assertion)
-    2   invalid input (bad flags, out-of-range parameters)
+    2   invalid input (bad flags, out-of-range parameters), or an input too
+        large to compute (MemoryError, RecursionError)
 
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
 arrays) so golden files can compare bytes.  The environment variable
@@ -18,6 +19,7 @@ pipelines; the computation modules reject orders too small to be exact.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -338,10 +340,21 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # Unbuffered (python -u, PYTHONUNBUFFERED): each write reaches the raw
+        # stream once, and a short write, such as a pipe write cut short when
+        # the process is stopped, silently loses the rest of the output.  A
+        # buffered writer writes the rest.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.detach()),
+                                      encoding=out.encoding, errors=out.errors)
     sys.exit(run(sys.argv[1:]))

@@ -14,6 +14,16 @@ the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
 binary operations keep the smaller of the two orders.
 
+Polynomial products and powers use Kronecker substitution: both operands are
+evaluated at t = 2^k, with k a whole number of bytes wide enough for any
+coefficient of the result and its sign, so each evaluation is one Python int.
+A single integer multiplication (or power), for which CPython switches to
+Karatsuba at large sizes, then yields the product evaluated at 2^k, and
+offsetting every k-bit slot by 2^(k-1) lets one to_bytes call read the
+coefficients back.  This stays exact integer arithmetic throughout, with no
+floats; the schoolbook double loop it replaces is kept in the test suite as
+the oracle it is checked against.
+
 Exact division and series expansion share one convolution core that proceeds
 from the constant term upward (every denominator we meet is 1 + higher order
 terms, possibly times a power of t).  Division that leaves a remainder raises
@@ -38,6 +48,12 @@ class TailNonzero(ArithmeticError):
     """A series that should have stabilized to a polynomial kept nonzero terms."""
 
 
+def _trimmed(cs: list[int]) -> tuple[int, ...]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 @dataclasses.dataclass(init=False, eq=True, frozen=True)
 class IntPoly:
     """
@@ -56,9 +72,14 @@ class IntPoly:
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients only, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed(cs))
+
+    @classmethod
+    def _of_ints(cls, coeffs) -> IntPoly:
+        """Wrap coefficients that are ints by construction, skipping the per-coefficient check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trimmed(list(coeffs)))
+        return poly
 
     @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> IntPoly:
@@ -99,7 +120,7 @@ class IntPoly:
         """Drop all terms of degree >= order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return IntPoly(self.coeffs[:order])
+        return self if order >= len(self.coeffs) else IntPoly._of_ints(self.coeffs[:order])
 
     def shift(self, k: int) -> IntPoly:
         """Multiply by t^k."""
@@ -107,7 +128,7 @@ class IntPoly:
             raise ValueError("shift must be nonnegative")
         if self.is_zero():
             return self
-        return IntPoly((0,) * k + self.coeffs)
+        return IntPoly._of_ints((0,) * k + self.coeffs)
 
     def is_palindromic(self) -> bool:
         """Whether the coefficient sequence reads the same in both directions."""
@@ -132,27 +153,28 @@ class IntPoly:
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(a + b for a, b in itertools.zip_longest(self.coeffs, coeffs, fillvalue=0))
+        pairs = itertools.zip_longest(self.coeffs, coeffs, fillvalue=0)
+        return IntPoly._of_ints(a + b for a, b in pairs)
 
     def __sub__(self, other: int | IntPoly) -> IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(a - b for a, b in itertools.zip_longest(self.coeffs, coeffs, fillvalue=0))
+        pairs = itertools.zip_longest(self.coeffs, coeffs, fillvalue=0)
+        return IntPoly._of_ints(a - b for a, b in pairs)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly._of_ints(-c for c in self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
+            return IntPoly._of_ints(c * other for c in self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return IntPoly(out)
+        # No coefficient of the product exceeds max|a| max|b| min(len a, len b).
+        width = _slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        packed = _pack(a, width)
+        product = packed * packed if other is self else packed * _pack(b, width)
+        return IntPoly._of_ints(_unpack(product, len(a) + len(b) - 1, width))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -160,14 +182,43 @@ class IntPoly:
     def __pow__(self, n: int) -> IntPoly:
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = IntPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return IntPoly([1])
+        if self.is_zero():
+            return self
+        # No coefficient of self^n exceeds (sum |a_i|)^n.
+        width = _slot_width(sum(map(abs, self.coeffs)) ** n)
+        power = _pack(self.coeffs, width) ** n
+        return IntPoly._of_ints(_unpack(power, n * self.degree() + 1, width))
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot that hold any integer of magnitude <= bound, plus a sign bit."""
+    return bound.bit_length() // 8 + 1
+
+
+def _half_slots(count: int, width: int) -> int:
+    """2^(8 width - 1) in each of `count` slots: the offset that makes every slot nonnegative."""
+    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    """The polynomial evaluated at t = 2^(8 width), a signed Python int."""
+    half = 1 << (8 * width - 1)
+    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - _half_slots(len(coeffs), width)
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """
+    Inverse of _pack for `count` coefficients, each of magnitude below 2^(8 width - 1).
+
+    Offsetting every slot by half its range removes all borrows, so one
+    to_bytes call splits the value into its coefficients in linear time.
+    """
+    half = 1 << (8 * width - 1)
+    buf = (value + _half_slots(count, width)).to_bytes(count * width, "little")
+    return [int.from_bytes(buf[i:i + width], "little") - half for i in range(0, len(buf), width)]
 
 
 ONE = IntPoly([1])
@@ -223,9 +274,15 @@ class TruncSeries:
         return TruncSeries(-self.poly, self.order)
 
     def __mul__(self, other: int | IntPoly | TruncSeries) -> TruncSeries:
+        # Terms at or past the result order cannot reach a kept coefficient.
         if isinstance(other, TruncSeries):
-            return TruncSeries(self.poly * other.poly, min(self.order, other.order))
-        return TruncSeries(self.poly * other, self.order)
+            order = min(self.order, other.order)
+            other = other.poly
+        else:
+            order = self.order
+        if isinstance(other, IntPoly):
+            other = other.truncate(order)
+        return TruncSeries(self.poly.truncate(order) * other, order)
 
     __rmul__ = __mul__
 
@@ -306,18 +363,28 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
 
         sum over a + b + c = n of  C(2g, c) t^(c + 2b),
 
-    which is what is computed here, term by term, in exact integers.
+    so the coefficient of t^j is the sum of C(2g, c) over c = j (mod 2) with
+    0 <= c <= min(j, 2n - j, 2g).  The binomial row is built once by its
+    multiplicative recurrence and summed by parity, and each of the 2n + 1
+    coefficients is read off one prefix sum: O(n + g) exact integer steps.
 
     >>> coeff_extract_x(2, 1)
     IntPoly('t^2 + 4t + 1')
     """
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
-    out = [0] * (2 * n + 1)
-    for c in range(min(n, 2 * g) + 1):
-        binom = comb(2 * g, c)
-        for b in range(n - c + 1):
-            out[c + 2 * b] += binom
+    top = min(2 * g, n)
+    # prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ...
+    prefix: list[int] = []
+    binom = 1
+    for c in range(top + 1):
+        prefix.append(binom + (prefix[c - 2] if c >= 2 else 0))
+        binom = binom * (2 * g - c) // (c + 1)
+    out = []
+    for j in range(2 * n + 1):
+        last = min(j, 2 * n - j, top)
+        last -= (j - last) % 2
+        out.append(prefix[last] if last >= 0 else 0)
     return IntPoly(out)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from math import comb
 
-from .bundles import poincare_N_closed
+from .bundles import _ONE_MINUS_T2, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
 from .exactpoly import IntPoly, TruncSeries, coeff_extract_x, poly_exact_div, series_expand
 
 __all__ = [
@@ -110,12 +110,8 @@ def poincare_M_stratified(g: int) -> IntPoly:
     return total
 
 
-_ONE_PLUS_T = IntPoly([1, 1])
 _ONE_MINUS_T = IntPoly([1, -1])
 _ONE_PLUS_T2 = IntPoly([1, 0, 1])
-_ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
-_ONE_MINUS_T2 = IntPoly([1, 0, -1])
-_ONE_MINUS_T4 = IntPoly([1, 0, 0, 0, -1])
 
 
 def poincare_M_closed(g: int, order: int | None = None) -> IntPoly:

@@ -80,6 +80,30 @@ class TestRecursion:
         with pytest.raises(ValueError):
             poincare_N_recursion(2, order=7)
 
+    def test_matches_closed_form_genus_100(self):
+        assert poincare_N_recursion(100) == poincare_N_closed(100)
+
+    def test_product_count_independent_of_strata(self, monkeypatch):
+        # Strata are shifted, never multiplied, so the number of polynomial
+        # products does not grow with the number of strata.
+        multiply = IntPoly.__mul__
+        calls = 0
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting)
+        monkeypatch.setattr(IntPoly, "__rmul__", counting)
+        counts = []
+        for g in (10, 40):
+            calls = 0
+            poincare_N_recursion(g)
+            counts.append(calls)
+        assert recursion_strata_count(10) < recursion_strata_count(40)
+        assert counts[0] == counts[1]
+
 
 class TestTopologicalProperties:
     @given(st.integers(2, 7))

@@ -1,9 +1,12 @@
 """Command-line surface: dispatch, formats, exit codes, JSON stability."""
+import io
 import json
+import sys
 
 import pytest
 
 from higgsmoduli import cli
+from higgsmoduli.exactpoly import coeff_extract_x
 
 
 def invoke(capsys, *argv):
@@ -305,6 +308,45 @@ class TestPlumbing:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "poincare" in out
+
+    def test_unbuffered_stdout_survives_short_writes(self, monkeypatch):
+        # python -u hands print's bytes to the raw stream once; a pipe write
+        # cut short by a stop signal returns a short count like this stream.
+        class ShortWrites(io.RawIOBase):
+            def __init__(self):
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.data += bytes(b[:1000])
+                return min(len(b), 1000)
+
+        raw = ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        monkeypatch.setattr(sys, "argv", ["higgsmoduli", "macdonald", "--genus", "3", "--n", "400"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        sys.stdout.flush()
+        assert exc.value.code == 0
+        assert raw.data.decode() == cli._poly_str(coeff_extract_x(3, 400)) + "\n"
+        assert len(raw.data) > 1000
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_exhaustion_is_input_error(self, capsys, monkeypatch, error):
+        # Running out of memory or stack is not a failed cross-check: exit 2,
+        # one line on stderr, no traceback.
+        def exhausted(g):
+            raise error("simulated")
+
+        monkeypatch.setattr(cli.bundles, "poincare_N_closed", exhausted)
+        code, out, err = invoke(capsys, "poincare", "--space", "vector-bundles", "--genus", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert error.__name__ in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

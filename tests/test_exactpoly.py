@@ -24,6 +24,35 @@ ONE_PLUS_T = IntPoly([1, 1])
 ONE_MINUS_T = IntPoly([1, -1])
 
 
+def schoolbook(p, q):
+    """The quadratic product, kept here as the oracle for the packed one."""
+    if p.is_zero() or q.is_zero():
+        return IntPoly()
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, c in enumerate(p.coeffs):
+        for j, d in enumerate(q.coeffs):
+            out[i + j] += c * d
+    return IntPoly(out)
+
+
+def macdonald_double_loop(g, n):
+    """[x^n] (1 + xt)^(2g) / ((1 - x)(1 - x t^2)) summed term by term, O(n g)."""
+    out = [0] * (2 * n + 1)
+    for c in range(min(n, 2 * g) + 1):
+        for b in range(n - c + 1):
+            out[c + 2 * b] += math.comb(2 * g, c)
+    return IntPoly(out)
+
+
+HUGE = 2**600
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.builds(lambda m, sign: sign * m, st.integers(HUGE, 2**640), st.sampled_from([1, -1])),
+)
+polys = st.lists(coefficients, max_size=12).map(IntPoly)
+
+
 def test_doctests():
     failures, _ = doctest.testmod(exactpoly)
     assert failures == 0
@@ -81,6 +110,60 @@ class TestIntPoly:
         assert IntPoly([1, 0, 1, 4, 1, 0, 1]).is_palindromic()
         assert not IntPoly([1, 2]).is_palindromic()
         assert IntPoly([]).is_palindromic()
+
+
+class TestKroneckerProduct:
+    @given(polys, polys)
+    @settings(max_examples=200)
+    def test_matches_schoolbook(self, p, q):
+        assert p * q == schoolbook(p, q)
+
+    @given(polys)
+    @settings(max_examples=100)
+    def test_square_matches_schoolbook(self, p):
+        # p * p packs its operand once
+        assert p * p == schoolbook(p, p)
+
+    @given(st.lists(coefficients, min_size=1, max_size=5).map(IntPoly), st.integers(0, 9))
+    @settings(max_examples=100)
+    def test_pow_matches_repeated_schoolbook(self, p, n):
+        expected = IntPoly([1])
+        for _ in range(n):
+            expected = schoolbook(expected, p)
+        assert p**n == expected
+
+    @given(coefficients, st.integers(0, 5), polys)
+    def test_single_term_operands(self, c, k, q):
+        m = IntPoly.monomial(k, c)
+        assert m * q == q * m == schoolbook(m, q)
+
+    def test_zero_operands(self):
+        assert IntPoly() * ONE_PLUS_T == ONE_PLUS_T * IntPoly() == IntPoly()
+        assert IntPoly() ** 0 == IntPoly([1])
+        assert IntPoly() ** 3 == IntPoly()
+
+    @pytest.mark.parametrize(
+        "m",
+        [1, 255, 256, 2**63 - 1, 2**64, HUGE - 1, HUGE + 1],
+        ids=["1", "2^8-1", "2^8", "2^63-1", "2^64", "2^600-1", "2^600+1"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
+    def test_worst_carry(self, m, n):
+        # every product coefficient sums min(i + 1, n) terms of magnitude m^2,
+        # and the middle one reaches the slot bound m * m * n exactly
+        for sign in (1, -1):
+            p, q = IntPoly([sign * m] * n), IntPoly([m] * n)
+            expected = schoolbook(p, q)
+            assert expected.coefficient(n - 1) == sign * m * m * n
+            assert p * q == expected
+            assert q * p == expected
+        square = IntPoly([-m] * n)
+        assert square * square == schoolbook(square, IntPoly([-m] * n))
+
+    def test_pow_reaches_its_bound(self):
+        # (sum |a_i|)^n is attained by the constant term of a one-term base
+        assert IntPoly([-HUGE]) ** 5 == IntPoly([-(HUGE**5)])
+        assert IntPoly([3, 3]) ** 8 == IntPoly([3**8 * math.comb(8, k) for k in range(9)])
 
 
 class TestPolyExactDiv:
@@ -162,6 +245,13 @@ class TestTruncSeries:
         s = TruncSeries(p, 4) * TruncSeries(q, 4)
         assert s.poly == (p * q).truncate(4)
 
+    @given(polys, polys, st.integers(0, 14), st.integers(0, 14))
+    def test_truncated_product_matches_full_product(self, p, q, o1, o2):
+        full = schoolbook(p, q)
+        assert (TruncSeries(p, o1) * TruncSeries(q, o2)).poly == full.truncate(min(o1, o2))
+        assert (TruncSeries(p, o1) * q).poly == full.truncate(o1)
+        assert (TruncSeries(p, o1) * 3).poly == (p * 3).truncate(o1)
+
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=5),
         st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
@@ -226,6 +316,15 @@ class TestCoeffExtract:
     @settings(max_examples=40)
     def test_nonnegative_coefficients(self, g, n):
         assert all(c >= 0 for c in coeff_extract_x(g, n).to_coeff_list())
+
+    @given(st.integers(0, 12), st.integers(0, 30))
+    @settings(max_examples=100)
+    def test_matches_double_loop(self, g, n):
+        assert coeff_extract_x(g, n) == macdonald_double_loop(g, n)
+
+    @pytest.mark.parametrize("g, n", [(50, 97), (50, 99), (50, 100), (50, 101), (50, 160), (7, 40)])
+    def test_matches_double_loop_either_side_of_2g(self, g, n):
+        assert coeff_extract_x(g, n) == macdonald_double_loop(g, n)
 
     @given(st.integers(2, 5), st.integers(0, 6))
     @settings(max_examples=30)
