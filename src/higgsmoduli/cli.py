@@ -22,6 +22,8 @@ import argparse
 import io
 import json
 import os
+import re
+import signal
 import sys
 
 from . import bundles, geometry, higgs, mirror
@@ -41,24 +43,9 @@ EXHAUSTIVE_MIRROR_MAX_GENUS = 8
 DEFAULT_MIRROR_SAMPLE = 64
 
 
-def _poly_str(poly: IntPoly, latex: bool = False) -> str:
-    """Ascending-power display, the convention of the Betti-number tables."""
-    coeffs = poly.to_coeff_list()
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            term = str(mag)
-        else:
-            power = "t" if i == 1 else (f"t^{{{i}}}" if latex else f"t^{i}")
-            term = power if mag == 1 else f"{mag}{power}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+def _latex(poly: IntPoly) -> str:
+    """The plain display as inline LaTeX math, exponents braced: t^3 -> t^{3}."""
+    return "$" + re.sub(r"\^(\d+)", r"^{\1}", str(poly)) + "$"
 
 
 def _latex_table(rows) -> str:
@@ -112,7 +99,7 @@ def _cmd_poincare(args) -> int:
             "via": args.via,
             "coeffs": poly.to_coeff_list(),
         }
-        _output(args.format, _poly_str(poly), payload, f"${_poly_str(poly, latex=True)}$")
+        _output(args.format, str(poly), payload, _latex(poly))
         return 0
 
     (name_a, make_a), (name_b, make_b) = pipelines.items()
@@ -125,8 +112,8 @@ def _cmd_poincare(args) -> int:
             "agree": True,
             "coeffs": poly_a.to_coeff_list(),
         }
-        plain = f"{_poly_str(poly_a)}\n{name_a} and {name_b} agree"
-        _output(args.format, plain, payload, f"${_poly_str(poly_a, latex=True)}$")
+        plain = f"{poly_a}\n{name_a} and {name_b} agree"
+        _output(args.format, plain, payload, _latex(poly_a))
         return 0
     payload = {
         "space": args.space,
@@ -137,12 +124,11 @@ def _cmd_poincare(args) -> int:
         f"coeffs_{name_b}": poly_b.to_coeff_list(),
     }
     plain = (
-        f"{name_a}: {_poly_str(poly_a)}\n"
-        f"{name_b}: {_poly_str(poly_b)}\n"
+        f"{name_a}: {poly_a}\n"
+        f"{name_b}: {poly_b}\n"
         "PIPELINES DISAGREE"
     )
-    latex = _latex_table([(name_a, f"${_poly_str(poly_a, latex=True)}$"),
-                          (name_b, f"${_poly_str(poly_b, latex=True)}$")])
+    latex = _latex_table([(name_a, _latex(poly_a)), (name_b, _latex(poly_b))])
     _output(args.format, plain, payload, latex)
     return 1
 
@@ -236,12 +222,12 @@ def _parse_blocks(text: str) -> tuple[Block, ...]:
 
 
 def _cmd_git_hm(args) -> int:
-    filtration = FiltrationData(_parse_blocks(args.blocks), m=args.m, g=args.genus, n=args.n)
+    filtration = FiltrationData(_parse_blocks(args.blocks), m=args.m, g=args.genus)
     weight = hm_weight(filtration)
     payload = {
         "blocks": [list(b) for b in filtration.blocks],
         "m": filtration.m,
-        "n": filtration.n,
+        "n": args.n,
         "genus": filtration.g,
         "weight": weight,
     }
@@ -254,7 +240,7 @@ def _cmd_git_hm(args) -> int:
 def _cmd_macdonald(args) -> int:
     poly = coeff_extract_x(args.genus, args.n)
     payload = {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}
-    _output(args.format, _poly_str(poly), payload, f"${_poly_str(poly, latex=True)}$")
+    _output(args.format, str(poly), payload, _latex(poly))
     return 0
 
 
@@ -283,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="check this many random nonzero elements instead of all "
                    f"(default: all 2^(2g)-1 through genus {EXHAUSTIVE_MIRROR_MAX_GENUS}, "
-                   f"{DEFAULT_MIRROR_SAMPLE} samples above)")
+                   f"{DEFAULT_MIRROR_SAMPLE} samples above; a genus above {mirror.MAX_GENUS} "
+                   "is rejected)")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(func=_cmd_mirror)
@@ -349,6 +336,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # A reader that closes the pipe early (| head) ends the process the
+        # way it ends any filter, instead of a BrokenPipeError traceback and
+        # exit 1, the code of a failed cross-check.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     out = sys.stdout
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # Unbuffered (python -u, PYTHONUNBUFFERED): each write reaches the raw

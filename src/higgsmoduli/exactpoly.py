@@ -60,7 +60,7 @@ class IntPoly:
     A dense polynomial in t with integer coefficients, trailing zeros trimmed.
 
     >>> IntPoly([1, 0, 1, 4])
-    IntPoly('4t^3 + t^2 + 1')
+    IntPoly('1 + t^2 + 4t^3')
     >>> IntPoly([0, 0]).is_zero()
     True
     """
@@ -138,18 +138,31 @@ class IntPoly:
         """Coefficients as a plain list, index = exponent (JSON-friendly)."""
         return list(self.coeffs)
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "IntPoly('0')"
+    def __str__(self):
+        """
+        Ascending-power display, the convention of the Betti-number tables.
+
+        >>> print(IntPoly([-1, 1, 0, -3]))
+        -1 + t - 3t^3
+        """
         parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
+        for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            sign = " + " if (c > 0 and parts) else " - " if (c < 0 and parts) else "" if c > 0 else "-"
-            term = "" if i == 0 else "t" if i == 1 else f"t^{i}"
-            coeff = f"{abs(c)}" if (i == 0 or abs(c) != 1) else ""
-            parts.append(sign + coeff + term)
-        return f"IntPoly('{''.join(parts)}')"
+            mag = abs(c)
+            if i == 0:
+                term = str(mag)
+            else:
+                power = "t" if i == 1 else f"t^{i}"
+                term = power if mag == 1 else f"{mag}{power}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + term)
+        return " ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"IntPoly('{self}')"
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
@@ -315,7 +328,7 @@ def poly_exact_div(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
     Divide exactly, raising NonDivisible if the quotient is not a polynomial.
 
     >>> poly_exact_div(IntPoly([1, 0, 0, 0, -1]), IntPoly([1, 0, -1]))
-    IntPoly('t^2 + 1')
+    IntPoly('1 + t^2')
     >>> poly_exact_div(IntPoly([1, 1]), IntPoly([1, -1]))
     Traceback (most recent call last):
         ...
@@ -346,7 +359,7 @@ def series_expand(numerator: IntPoly, denominator: IntPoly, order: int) -> Trunc
     Expand numerator/denominator as a power series modulo t^order.
 
     >>> series_expand(IntPoly([1]), IntPoly([1, -1]), 4).poly
-    IntPoly('t^3 + t^2 + t + 1')
+    IntPoly('1 + t + t^2 + t^3')
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -369,7 +382,7 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     coefficients is read off one prefix sum: O(n + g) exact integer steps.
 
     >>> coeff_extract_x(2, 1)
-    IntPoly('t^2 + 4t + 1')
+    IntPoly('1 + 4t + t^2')
     """
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")

@@ -31,14 +31,12 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
 """
 from __future__ import annotations
 
-import dataclasses
 from math import comb
 
 from .bundles import _ONE_MINUS_T2, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
 from .exactpoly import IntPoly, TruncSeries, coeff_extract_x, poly_exact_div, series_expand
 
 __all__ = [
-    "StratumIndex",
     "DegreeOverflow",
     "fixed_locus_poincare",
     "bb_codimension",
@@ -51,49 +49,34 @@ class DegreeOverflow(ArithmeticError):
     """A stratum contribution exceeded the middle-dimension degree bound."""
 
 
-@dataclasses.dataclass(frozen=True)
-class StratumIndex:
-    """
-    Index of a nontrivial fixed locus: k runs over 1 .. g-1, and the
-    associated symmetric-product exponent is kbar = 2g - 2k - 1, an odd
-    number between 1 and 2g - 3.  The exponent bookkeeping
-    kbar + (g + 2k - 2) = 3g - 3 ties the stratum weights to the middle
-    dimension.
-    """
-
-    g: int
-    k: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("genus must be at least 2")
-        if not 1 <= self.k <= self.g - 1:
-            raise ValueError(f"k must lie in 1 .. {self.g - 1}")
-
-    @property
-    def kbar(self) -> int:
-        return 2 * self.g - 2 * self.k - 1
+def _check_stratum(g: int, k: int) -> None:
+    """Nontrivial fixed loci are indexed by k = 1 .. g-1."""
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    if not 1 <= k <= g - 1:
+        raise ValueError(f"k must lie in 1 .. {g - 1}")
 
 
-def _stratum(g: int, k: int | StratumIndex) -> StratumIndex:
-    return k if isinstance(k, StratumIndex) else StratumIndex(g, k)
-
-
-def fixed_locus_poincare(g: int, k: int | StratumIndex) -> IntPoly:
+def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     """
     Poincare polynomial of the fixed locus F_k:
-    P_t(S^kbar X) + (2^(2g) - 1) C(2g-2, kbar) t^kbar.
+    P_t(S^kbar X) + (2^(2g) - 1) C(2g-2, kbar) t^kbar, with
+    kbar = 2g - 2k - 1 an odd number between 1 and 2g - 3.
     """
-    s = _stratum(g, k)
-    kbar = s.kbar
+    _check_stratum(g, k)
+    kbar = 2 * g - 2 * k - 1
     covers = (2 ** (2 * g) - 1) * comb(2 * g - 2, kbar)
     return coeff_extract_x(g, kbar) + IntPoly.monomial(kbar, covers)
 
 
-def bb_codimension(g: int, k: int | StratumIndex) -> int:
-    """Real codimension 2(g + 2k - 2) of the stratum flowing down to F_k."""
-    s = _stratum(g, k)
-    return 2 * (s.g + 2 * s.k - 2)
+def bb_codimension(g: int, k: int) -> int:
+    """
+    Real codimension 2(g + 2k - 2) of the stratum flowing down to F_k.  With
+    kbar from fixed_locus_poincare, kbar + (g + 2k - 2) = 3g - 3 ties the
+    stratum weights to the middle dimension.
+    """
+    _check_stratum(g, k)
+    return 2 * (g + 2 * k - 2)
 
 
 def poincare_M_stratified(g: int) -> IntPoly:

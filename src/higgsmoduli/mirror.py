@@ -24,17 +24,18 @@ monomial u^p v^q by (-1)^(p+q); concretely the sign arrives here as the
 substitution (u, v) -> (-u, -v) on the bare Hodge sums.
 
 The right-hand average depends on gamma only through the count
-N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.  Below the configurable
-genus cap that count is read off the pairing itself, not a closed form, so
-the right side stays an independent oracle for the closed form on the
-left.  Each checked gamma's pairing row (its values on the 2g basis
-vectors) is an index a into the character sums
-S[a] = sum over gamma' of (-1)^popcount(a & gamma'), which one fast
-Walsh-Hadamard transform of the all-ones vector gives for every a at once;
-then N_-(gamma) = (2^(2g) - S[a]) / 2.  That is the literal 2^(2g)-term sum
-arranged in butterflies, O(g 4^g) for the whole sweep.  It assumes the
-pairing is bilinear in its second argument; the sweep checks that it is
-alternating, w(gamma, gamma) = 1, for every gamma it reads.
+N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
+off the pairing itself, never a closed form, so the right side stays an
+independent oracle for the closed form on the left.  Each checked gamma's
+pairing row (its values on the 2g basis vectors) is an index a into the
+character sums S[a] = sum over gamma' of (-1)^popcount(a & gamma'), which one
+fast Walsh-Hadamard transform of the all-ones vector gives for every a at
+once; then N_-(gamma) = (2^(2g) - S[a]) / 2.  That is the literal
+2^(2g)-term sum arranged in butterflies, O(g 4^g) for the whole sweep.  It
+assumes the pairing is bilinear in its second argument; the sweep checks that
+it is alternating, w(gamma, gamma) = 1, for every gamma it reads.  The
+transform holds 4^g integers, so the right side is computed only up to genus
+MAX_GENUS; larger genera are rejected with ValueError.
 """
 from __future__ import annotations
 
@@ -46,9 +47,7 @@ from .exactpoly import BivarPoly, bivar_eval_signed_binomial
 
 __all__ = [
     "Gamma2Element",
-    "Character",
     "LengthMismatch",
-    "TrivialCharacter",
     "TrivialElement",
     "IdentityViolation",
     "PairingNotAlternating",
@@ -61,17 +60,13 @@ __all__ = [
     "mirror_verify",
 ]
 
-# Above this genus the 2^(2g)-entry Walsh-Hadamard transform becomes
-# pointlessly slow and the right side falls back to its closed form.
-LITERAL_AVERAGE_MAX_GENUS = 10
+# The largest genus the right side is computed for; its Walsh-Hadamard
+# transform holds 4^g integers, about a million at genus 10.
+MAX_GENUS = 10
 
 
 class LengthMismatch(ValueError):
     """Bit vectors of different lengths cannot be paired."""
-
-
-class TrivialCharacter(ValueError):
-    """The variant E-polynomial excludes the trivial character."""
 
 
 class TrivialElement(ValueError):
@@ -155,33 +150,6 @@ class Gamma2Element:
         return Gamma2Element(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
 
-@dataclasses.dataclass(frozen=True, eq=True)
-class Character:
-    """
-    A character of Gamma, identified with a bit vector of the same length:
-    kappa(gamma) = (-1)^<kappa, gamma> with the mod-2 dot product.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) == 0 or len(bits) % 2 != 0:
-            raise ValueError("bit vector must have positive even length 2g")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    def is_trivial(self) -> bool:
-        return not any(self.bits)
-
-    def evaluate(self, gamma: Gamma2Element) -> int:
-        if len(self.bits) != len(gamma.bits):
-            raise LengthMismatch("character and element have different lengths")
-        dot = sum(a & b for a, b in zip(self.bits, gamma.bits))
-        return -1 if dot % 2 else 1
-
-
 def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
     """
     The symplectic pairing w(a, b) = (-1)^(sum_i a_i b_(g+i) + a_(g+i) b_i),
@@ -204,20 +172,16 @@ def fermionic_shift(g: int) -> int:
     return 2 * g - 2
 
 
-def e_poly_kappa_lhs(g: int, kappa: Character | None = None) -> BivarPoly:
+def e_poly_kappa_lhs(g: int) -> BivarPoly:
     """
     The variant E-polynomial for any nontrivial character kappa (the result
     is the same for all of them):
 
         (uv)^(3g-3) sum over odd p+q of (-1)^(p+q) C(g-1,p) C(g-1,q) u^p v^q
       = (1/2) (uv)^(3g-3) [(1-u)^(g-1) (1-v)^(g-1) - (1+u)^(g-1) (1+v)^(g-1)].
-
-    Passing a character is optional and only validates nontriviality.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
-    if kappa is not None and kappa.is_trivial():
-        raise TrivialCharacter("the identity is trivially 0 = 0 for kappa = 0")
     coeffs = {}
     for p in range(g):
         for q in range(g):
@@ -262,18 +226,12 @@ def _minus_counts(g: int, gammas):
     """
     Yield (gamma, N_-(gamma)) with N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.
 
-    Up to genus LITERAL_AVERAGE_MAX_GENUS, gamma's row a, bit j set when
-    w(gamma, e_j) = -1 on the basis vector e_j, gives N_-(gamma) =
-    (2^(2g) - S[a]) / 2 from the character sums, which is the count when
-    the pairing is bilinear in its second argument.  Each gamma must pair
-    to 1 with itself, or PairingNotAlternating is raised.  Above the cap
-    every count is 2^(2g-1), the value a nondegenerate pairing gives every
-    nonzero gamma, and the pairing is not read.
+    Gamma's row a, bit j set when w(gamma, e_j) = -1 on the basis vector
+    e_j, gives N_-(gamma) = (2^(2g) - S[a]) / 2 from the character sums,
+    which is the count when the pairing is bilinear in its second argument.
+    Each gamma must pair to 1 with itself, or PairingNotAlternating is
+    raised.
     """
-    if g > LITERAL_AVERAGE_MAX_GENUS:
-        for gamma in gammas:
-            yield gamma, 1 << (2 * g - 1)
-        return
     basis = [Gamma2Element.from_int(1 << j, g) for j in range(2 * g)]
     sums = _character_sums(g)
     for gamma in gammas:
@@ -285,6 +243,14 @@ def _minus_counts(g: int, gammas):
             if weil_pairing(gamma, e) < 0:
                 row |= 1 << j
         yield gamma, (len(sums) - sums[row]) // 2
+
+
+def _check_genus(g: int) -> None:
+    """The right side is computed for 2 <= g <= MAX_GENUS only."""
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be at most {MAX_GENUS} for the mirror check, got {g}")
 
 
 def _averaged_prym(g: int, minus: int) -> BivarPoly:
@@ -309,15 +275,11 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
     E-polynomial, in the E-polynomial sign convention, times
     (uv)^(g-1) (uv)^(F(gamma)).
 
-    Up to genus LITERAL_AVERAGE_MAX_GENUS the average takes N_-(gamma) from
-    the pairing through the Walsh-Hadamard character sums, which assumes
-    the pairing is bilinear in its second argument; above, it takes
-    N_-(gamma) = 2^(2g-1), which turns the average into the closed form
-    (1/2) [(1+u)^(g-1)(1+v)^(g-1) - (1-u)^(g-1)(1-v)^(g-1)] (what the
-    count gives for every nonzero gamma, by nondegeneracy).
+    The average takes N_-(gamma) from the pairing through the
+    Walsh-Hadamard character sums, which assumes the pairing is bilinear in
+    its second argument.  Raises ValueError for g above MAX_GENUS.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_genus(g)
     if gamma.g != g:
         raise LengthMismatch(f"gamma has length {len(gamma.bits)}, expected {2 * g}")
     if gamma.is_zero():
@@ -339,14 +301,13 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     """
     Check e_poly_kappa_lhs(g) == e_poly_rhs(g, gamma) exactly, for every
     nonzero gamma (sample=None) or for `sample` of them chosen with the
-    given seed.  Up to LITERAL_AVERAGE_MAX_GENUS all counts come from one
-    Walsh-Hadamard transform; the right side is built once per distinct
-    N_-(gamma).  Returns a report on
+    given seed.  All counts come from one Walsh-Hadamard transform; the
+    right side is built once per distinct N_-(gamma).  Returns a report on
     success; raises IdentityViolation with the first differing coefficient
-    otherwise, or PairingNotAlternating for a pairing the count cannot use.
+    otherwise, PairingNotAlternating for a pairing the count cannot use, or
+    ValueError for g above MAX_GENUS.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_genus(g)
     population = (1 << (2 * g)) - 1
     if sample is None or sample >= population:
         values = range(1, population + 1)

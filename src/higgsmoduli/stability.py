@@ -121,16 +121,14 @@ class FiltrationData:
     A weighted filtration of C^N with strictly decreasing integer weights
     a_1 > ... > a_s satisfying sum N_i a_i = 0 (a one-parameter subgroup of
     SL_N), each graded piece carrying the rank and degree of a sheaf whose
-    Euler characteristics enter the weight.  The twist n records which
-    embedding the filtration lives in; it does not enter the weight.
+    Euler characteristics enter the weight.
     """
 
     blocks: tuple[Block, ...]
     m: int
     g: int
-    n: int | None = None
 
-    def __init__(self, blocks, m: int, g: int, n: int | None = None):
+    def __init__(self, blocks, m: int, g: int):
         blocks = tuple(Block(*b) for b in blocks)
         if not blocks:
             raise ValueError("a filtration needs at least one block")
@@ -147,7 +145,6 @@ class FiltrationData:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "g", int(g))
-        object.__setattr__(self, "n", None if n is None else int(n))
 
     @property
     def N(self) -> int:

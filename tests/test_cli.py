@@ -1,18 +1,52 @@
 """Command-line surface: dispatch, formats, exit codes, JSON stability."""
+import importlib.util
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from higgsmoduli import cli
-from higgsmoduli.exactpoly import coeff_extract_x
+from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def restore_sigpipe():
+    """cli.main resets SIGPIPE for its process; give the test process its handler back."""
+    previous = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    yield
+    if previous is not None:
+        signal.signal(signal.SIGPIPE, previous)
+
+
+@pytest.mark.parametrize(
+    "coeffs, plain, latex",
+    [
+        ([-1, 1, 0, -3, 1, 0, 12], "-1 + t - 3t^3 + t^4 + 12t^6", "-1 + t - 3t^{3} + t^{4} + 12t^{6}"),
+        ([], "0", "0"),
+        ([0, -1], "-t", "-t"),
+        ([5], "5", "5"),
+        ([0] * 10 + [-1], "-t^10", "-t^{10}"),
+    ],
+    ids=["mixed-signs", "zero", "minus-t", "constant", "two-digit-exponent"],
+)
+def test_poly_display(coeffs, plain, latex):
+    poly = IntPoly(coeffs)
+    assert str(poly) == plain
+    assert cli._latex(poly) == f"${latex}$"
+    assert repr(poly) == f"IntPoly('{poly}')"
 
 
 class TestPoincare:
@@ -147,6 +181,15 @@ class TestMirror:
         code, out, _ = invoke(capsys, "mirror", "--genus", "7")
         assert code == 0
         assert "16383 elements checked, pass" in out
+
+    def test_genus_cap(self, capsys):
+        code, out, err = invoke(capsys, "mirror", "--genus", "11")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at most 10" in err
+        code, out, _ = invoke(capsys, "mirror", "--genus", "10", "--sample", "1")
+        assert code == 0
+        assert "1 elements checked, pass" in out
 
     def test_identity_violation_exits_one(self, capsys, monkeypatch):
         import higgsmoduli.mirror as mirror_mod
@@ -309,7 +352,7 @@ class TestPlumbing:
         assert code == 0
         assert "poincare" in out
 
-    def test_unbuffered_stdout_survives_short_writes(self, monkeypatch):
+    def test_unbuffered_stdout_survives_short_writes(self, monkeypatch, restore_sigpipe):
         # python -u hands print's bytes to the raw stream once; a pipe write
         # cut short by a stop signal returns a short count like this stream.
         class ShortWrites(io.RawIOBase):
@@ -330,8 +373,24 @@ class TestPlumbing:
             cli.main()
         sys.stdout.flush()
         assert exc.value.code == 0
-        assert raw.data.decode() == cli._poly_str(coeff_extract_x(3, 400)) + "\n"
+        assert raw.data.decode() == str(coeff_extract_x(3, 400)) + "\n"
         assert len(raw.data) > 1000
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_reader_closing_the_pipe_early_is_not_a_failed_check(self):
+        # higgsmoduli poincare --space higgs --genus 200 | head -c 20
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from higgsmoduli.cli import main; main()",
+             "poincare", "--space", "higgs", "--genus", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert len(head) == 20
+        assert proc.returncode != 1
+        assert b"Traceback" not in err
 
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_exhaustion_is_input_error(self, capsys, monkeypatch, error):
@@ -364,3 +423,22 @@ class TestPlumbing:
         assert code == 0
         line = out.strip()
         assert json.dumps(json.loads(line), sort_keys=True) == line
+
+
+def test_benchmarked_calls_print_the_recorded_bytes(capsys, monkeypatch):
+    # perfbench/expected.json pins the SHA-256 of every benchmarked call's stdout
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks itself up there
+    spec.loader.exec_module(bench)
+    expected = json.loads(bench.EXPECTED.read_text())
+    monkeypatch.delenv("HITCHIN_TRUNC_ORDER", raising=False)
+    argvs = bench.all_argvs("cli-small")
+    mismatched = []
+    for argv in argvs:
+        code = cli.run(list(argv))
+        out = capsys.readouterr().out
+        if code != 0 or bench.digest(out.encode()) != expected[bench.key(argv)]:
+            mismatched.append(bench.key(argv))
+    assert argvs
+    assert mismatched == []

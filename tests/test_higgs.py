@@ -9,7 +9,6 @@ from higgsmoduli.bundles import poincare_N_closed
 from higgsmoduli.exactpoly import IntPoly
 from higgsmoduli.higgs import (
     DegreeOverflow,
-    StratumIndex,
     bb_codimension,
     fixed_locus_poincare,
     poincare_M_closed,
@@ -20,17 +19,21 @@ M_G2 = IntPoly([1, 0, 1, 4, 2, 34, 2])
 
 
 class TestStratumIndex:
+    """The index k of fixed_locus_poincare and bb_codimension."""
+
     def test_valid_range(self):
-        s = StratumIndex(3, 2)
-        assert s.kbar == 2 * 3 - 2 * 2 - 1 == 1
+        # k = g - 1 is the last stratum: kbar = 2 * 3 - 2 * 2 - 1 = 1
+        assert fixed_locus_poincare(3, 2).degree() == 2 * 1
+        assert bb_codimension(3, 2) == 2 * (3 + 2 * 2 - 2)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            StratumIndex(2, 0)
-        with pytest.raises(ValueError):
-            StratumIndex(2, 2)  # k must stay below g
-        with pytest.raises(ValueError):
-            StratumIndex(1, 1)
+        for compute in (fixed_locus_poincare, bb_codimension):
+            with pytest.raises(ValueError):
+                compute(2, 0)
+            with pytest.raises(ValueError):
+                compute(2, 2)  # k must stay below g
+            with pytest.raises(ValueError):
+                compute(1, 1)
 
 
 class TestFixedLoci:

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 import higgsmoduli.mirror as mirror_mod
 from higgsmoduli.exactpoly import BivarPoly
 from higgsmoduli.mirror import (
-    Character,
     Gamma2Element,
     IdentityViolation,
     LengthMismatch,
     MirrorReport,
     PairingNotAlternating,
-    TrivialCharacter,
     TrivialElement,
     e_poly_kappa_lhs,
     e_poly_rhs,
@@ -76,18 +74,6 @@ class TestGamma2Element:
             Gamma2Element(())
         with pytest.raises(LengthMismatch):
             Gamma2Element((1, 0)) + Gamma2Element((1, 0, 0, 0))
-
-
-class TestCharacter:
-    def test_evaluation(self):
-        chi = Character((1, 0, 0, 1))
-        assert chi.evaluate(Gamma2Element((1, 0, 0, 0))) == -1
-        assert chi.evaluate(Gamma2Element((0, 1, 1, 0))) == 1
-        assert chi.evaluate(Gamma2Element.zero(2)) == 1
-
-    def test_trivial(self):
-        assert Character((0, 0)).is_trivial()
-        assert not Character((1, 0)).is_trivial()
 
 
 class TestWeilPairing:
@@ -157,14 +143,6 @@ class TestLhs:
                 assert (p + q) % 2 == 1
                 assert c != 0
 
-    def test_trivial_character_rejected(self):
-        with pytest.raises(TrivialCharacter):
-            e_poly_kappa_lhs(2, kappa=Character((0, 0, 0, 0)))
-
-    def test_nontrivial_character_same_answer(self):
-        # the Hodge sum is character-independent in rank 2
-        assert e_poly_kappa_lhs(2, kappa=Character((1, 0, 1, 1))) == LHS_G2
-
 
 class TestPrym:
     def test_genus_four_example(self):
@@ -191,18 +169,10 @@ class TestRhs:
         polys = [e_poly_rhs(2, gamma) for gamma in all_elements(2) if not gamma.is_zero()]
         assert all(p == polys[0] for p in polys)
 
-    def test_closed_fallback_matches_literal_average(self):
-        import higgsmoduli.mirror as mirror_mod
-
-        gamma = Gamma2Element.from_int(5, 3)
-        literal = e_poly_rhs(3, gamma)
-        cap = mirror_mod.LITERAL_AVERAGE_MAX_GENUS
-        try:
-            mirror_mod.LITERAL_AVERAGE_MAX_GENUS = 2  # force the closed route
-            closed = e_poly_rhs(3, gamma)
-        finally:
-            mirror_mod.LITERAL_AVERAGE_MAX_GENUS = cap
-        assert literal == closed
+    def test_genus_above_the_cap_rejected(self):
+        # above the cap the pairing count is not computed, and no closed form stands in
+        with pytest.raises(ValueError, match="at most 10"):
+            e_poly_rhs(11, Gamma2Element.from_int(1, 11))
 
     def test_trivial_element_rejected(self):
         with pytest.raises(TrivialElement):
@@ -278,6 +248,10 @@ class TestMirrorVerify:
         report = mirror_verify(7, sample=5, seed=11)
         assert report.elements_checked == 5
         assert report.passed
+
+    def test_genus_above_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="at most 10"):
+            mirror_verify(11, sample=1)
 
     def test_sample_is_seed_deterministic(self):
         a = mirror_verify(4, sample=6, seed=3)
