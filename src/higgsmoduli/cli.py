@@ -12,16 +12,13 @@ or LaTeX.  Exit codes are meant for scripted pipelines:
         large to compute (MemoryError, RecursionError)
 
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
-arrays) so golden files can compare bytes.  The environment variable
-HITCHIN_TRUNC_ORDER overrides the default truncation order of the series
-pipelines; the computation modules reject orders too small to be exact.
+arrays) so golden files can compare bytes.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
-import os
 import re
 import signal
 import sys
@@ -65,27 +62,16 @@ def _output(fmt: str, plain: str, payload: dict, latex: str) -> None:
         print(plain)
 
 
-def _env_order() -> int | None:
-    raw = os.environ.get("HITCHIN_TRUNC_ORDER")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"HITCHIN_TRUNC_ORDER must be an integer, got {raw!r}")
-
-
 def _cmd_poincare(args) -> int:
-    order = _env_order()
     g = args.genus
     if args.space == "vector-bundles":
         pipelines = {
             "closed": lambda: bundles.poincare_N_closed(g),
-            "recursion": lambda: bundles.poincare_N_recursion(g, order=order),
+            "recursion": lambda: bundles.poincare_N_recursion(g),
         }
     else:
         pipelines = {
-            "closed": lambda: higgs.poincare_M_closed(g, order=order),
+            "closed": lambda: higgs.poincare_M_closed(g),
             "strata": lambda: higgs.poincare_M_stratified(g),
         }
     if args.via != "both" and args.via not in pipelines:
@@ -135,6 +121,9 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_mirror(args) -> int:
     sample = args.sample
+    cap = 4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1  # the exhaustive sweep's size at that genus
+    if sample is not None and sample > cap:
+        raise ValueError(f"--sample must be at most {cap}, got {sample}")
     if sample is None and args.genus > EXHAUSTIVE_MIRROR_MAX_GENUS:
         sample = DEFAULT_MIRROR_SAMPLE
     report = mirror.mirror_verify(args.genus, sample=sample, seed=args.seed)
@@ -269,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="check this many random nonzero elements instead of all "
                    f"(default: all 2^(2g)-1 through genus {EXHAUSTIVE_MIRROR_MAX_GENUS}, "
-                   f"{DEFAULT_MIRROR_SAMPLE} samples above; a genus above {mirror.MAX_GENUS} "
+                   f"{DEFAULT_MIRROR_SAMPLE} samples above; at most "
+                   f"{4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1}; a genus above {mirror.MAX_GENUS} "
                    "is rejected)")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)

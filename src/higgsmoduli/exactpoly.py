@@ -307,15 +307,16 @@ def _quotient_coeffs(num: IntPoly, den: IntPoly, count: int) -> list[int]:
     Shared core of poly_exact_div and series_expand: coefficient i of the
     quotient is solved from the convolution (quotient * den)_i = num_i.
     """
-    d0 = den.coefficient(0)
+    n, d = num.coeffs, den.coeffs
+    d0 = d[0] if d else 0
     if d0 == 0:
         raise ZeroConstantTerm("series division needs a denominator with nonzero constant term")
-    ddeg = den.degree()
+    ddeg = len(d) - 1
     out: list[int] = []
     for i in range(count):
-        acc = num.coefficient(i)
+        acc = n[i] if i < len(n) else 0
         for j in range(max(0, i - ddeg), i):
-            acc -= out[j] * den.coefficient(i - j)
+            acc -= out[j] * d[i - j]
         q, r = divmod(acc, d0)
         if r != 0:
             raise NonDivisible(f"coefficient {acc} of t^{i} is not divisible by {d0}")

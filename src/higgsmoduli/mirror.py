@@ -26,16 +26,15 @@ substitution (u, v) -> (-u, -v) on the bare Hodge sums.
 The right-hand average depends on gamma only through the count
 N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
 off the pairing itself, never a closed form, so the right side stays an
-independent oracle for the closed form on the left.  Each checked gamma's
-pairing row (its values on the 2g basis vectors) is an index a into the
-character sums S[a] = sum over gamma' of (-1)^popcount(a & gamma'), which one
-fast Walsh-Hadamard transform of the all-ones vector gives for every a at
-once; then N_-(gamma) = (2^(2g) - S[a]) / 2.  That is the literal
-2^(2g)-term sum arranged in butterflies, O(g 4^g) for the whole sweep.  It
-assumes the pairing is bilinear in its second argument; the sweep checks that
-it is alternating, w(gamma, gamma) = 1, for every gamma it reads.  The
-transform holds 4^g integers, so the right side is computed only up to genus
-MAX_GENUS; larger genera are rejected with ValueError.
+independent oracle for the closed form on the left.  For a pairing bilinear
+in its second argument, w(gamma, -) is a character of GF(2)^(2g), fixed by
+its row on the 2g basis vectors: a nonzero row is a nontrivial character,
+-1 on exactly half the group, so N_-(gamma) = 2^(2g-1), and a zero row
+gives N_-(gamma) = 0.  Reading the row is O(g) pairings per gamma.  The
+sweep checks that the pairing is alternating, w(gamma, gamma) = 1, for every
+gamma it reads.  An exhaustive sweep visits 4^g - 1 elements, so the right
+side is computed only up to genus MAX_GENUS; larger genera are rejected with
+ValueError.
 """
 from __future__ import annotations
 
@@ -60,8 +59,8 @@ __all__ = [
     "mirror_verify",
 ]
 
-# The largest genus the right side is computed for; its Walsh-Hadamard
-# transform holds 4^g integers, about a million at genus 10.
+# The largest genus the right side is computed for; an exhaustive sweep
+# there checks 4^g - 1 elements, about a million.
 MAX_GENUS = 10
 
 
@@ -199,50 +198,22 @@ def prym_e_poly(g: int) -> BivarPoly:
     return bivar_eval_signed_binomial(g, 1, 1)
 
 
-def _character_sums(g: int) -> list[int]:
-    """
-    S[a] = sum over x in GF(2)^(2g) of (-1)^popcount(a & x), for every a:
-    one in-place Walsh-Hadamard transform of the all-ones vector.  Each
-    stage pairs entry i with entry i + h in whole slices, strided while h is
-    small and blockwise once it is large, so the Python loop stays short.
-    """
-    n = 1 << (2 * g)
-    sums = [1] * n
-    h = 1
-    while h < n:
-        if h * h < n:
-            pairs = [(slice(j, n, 2 * h), slice(j + h, n, 2 * h)) for j in range(h)]
-        else:
-            pairs = [(slice(i, i + h), slice(i + h, i + 2 * h)) for i in range(0, n, 2 * h)]
-        for lo, hi in pairs:
-            a, b = sums[lo], sums[hi]
-            sums[lo] = [x + y for x, y in zip(a, b)]
-            sums[hi] = [x - y for x, y in zip(a, b)]
-        h *= 2
-    return sums
-
-
 def _minus_counts(g: int, gammas):
     """
     Yield (gamma, N_-(gamma)) with N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.
 
-    Gamma's row a, bit j set when w(gamma, e_j) = -1 on the basis vector
-    e_j, gives N_-(gamma) = (2^(2g) - S[a]) / 2 from the character sums,
-    which is the count when the pairing is bilinear in its second argument.
-    Each gamma must pair to 1 with itself, or PairingNotAlternating is
-    raised.
+    N_-(gamma) is 2^(2g-1) when w(gamma, e_j) = -1 on some basis vector e_j
+    and 0 otherwise, which is the count when the pairing is bilinear in its
+    second argument.  Each gamma must pair to 1 with itself, or
+    PairingNotAlternating is raised.
     """
     basis = [Gamma2Element.from_int(1 << j, g) for j in range(2 * g)]
-    sums = _character_sums(g)
+    half = 1 << (2 * g - 1)
     for gamma in gammas:
         self_pairing = weil_pairing(gamma, gamma)
         if self_pairing != 1:
             raise PairingNotAlternating(g, gamma.bits, self_pairing)
-        row = 0
-        for j, e in enumerate(basis):
-            if weil_pairing(gamma, e) < 0:
-                row |= 1 << j
-        yield gamma, (len(sums) - sums[row]) // 2
+        yield gamma, half if any(weil_pairing(gamma, e) < 0 for e in basis) else 0
 
 
 def _check_genus(g: int) -> None:
@@ -275,9 +246,9 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
     E-polynomial, in the E-polynomial sign convention, times
     (uv)^(g-1) (uv)^(F(gamma)).
 
-    The average takes N_-(gamma) from the pairing through the
-    Walsh-Hadamard character sums, which assumes the pairing is bilinear in
-    its second argument.  Raises ValueError for g above MAX_GENUS.
+    The average takes N_-(gamma) from gamma's row of the pairing on the
+    basis vectors, which assumes the pairing is bilinear in its second
+    argument.  Raises ValueError for g above MAX_GENUS.
     """
     _check_genus(g)
     if gamma.g != g:
@@ -301,7 +272,7 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     """
     Check e_poly_kappa_lhs(g) == e_poly_rhs(g, gamma) exactly, for every
     nonzero gamma (sample=None) or for `sample` of them chosen with the
-    given seed.  All counts come from one Walsh-Hadamard transform; the
+    given seed.  Each count is read from gamma's row of the pairing; the
     right side is built once per distinct N_-(gamma).  Returns a report on
     success; raises IdentityViolation with the first differing coefficient
     otherwise, PairingNotAlternating for a pairing the count cannot use, or

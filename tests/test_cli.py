@@ -109,31 +109,6 @@ class TestPoincare:
         )
         assert code == 2
 
-    def test_trunc_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HITCHIN_TRUNC_ORDER", "30")
-        code, out, _ = invoke(
-            capsys,
-            "poincare", "--space", "higgs", "--genus", "2",
-            "--via", "both", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["coeffs"] == [1, 0, 1, 4, 2, 34, 2]
-
-    def test_trunc_order_env_too_small(self, capsys, monkeypatch):
-        monkeypatch.setenv("HITCHIN_TRUNC_ORDER", "3")
-        code, _, err = invoke(
-            capsys, "poincare", "--space", "higgs", "--genus", "2", "--via", "closed"
-        )
-        assert code == 2
-
-    def test_trunc_order_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("HITCHIN_TRUNC_ORDER", "many")
-        code, _, err = invoke(
-            capsys, "poincare", "--space", "higgs", "--genus", "2", "--via", "closed"
-        )
-        assert code == 2
-        assert "HITCHIN_TRUNC_ORDER" in err
-
     def test_pipeline_disagreement_exits_one(self, capsys, monkeypatch):
         import higgsmoduli.bundles as bundles
         from higgsmoduli.exactpoly import IntPoly
@@ -190,6 +165,16 @@ class TestMirror:
         code, out, _ = invoke(capsys, "mirror", "--genus", "10", "--sample", "1")
         assert code == 0
         assert "1 elements checked, pass" in out
+
+    def test_sample_cap(self, capsys):
+        # the cap is the exhaustive sweep's size at EXHAUSTIVE_MIRROR_MAX_GENUS
+        code, out, err = invoke(capsys, "mirror", "--genus", "10", "--sample", "65536")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "65535" in err
+        code, out, _ = invoke(capsys, "mirror", "--genus", "2", "--sample", "65535")
+        assert code == 0
+        assert "15 elements checked, pass" in out
 
     def test_identity_violation_exits_one(self, capsys, monkeypatch):
         import higgsmoduli.mirror as mirror_mod
@@ -426,14 +411,14 @@ class TestPlumbing:
 
 
 def test_benchmarked_calls_print_the_recorded_bytes(capsys, monkeypatch):
-    # perfbench/expected.json pins the SHA-256 of every benchmarked call's stdout
+    # perfbench/expected.json pins the SHA-256 of every benchmarked call's stdout,
+    # over all four workloads
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks itself up there
     spec.loader.exec_module(bench)
     expected = json.loads(bench.EXPECTED.read_text())
-    monkeypatch.delenv("HITCHIN_TRUNC_ORDER", raising=False)
-    argvs = bench.all_argvs("cli-small")
+    argvs = [argv for workload in bench.WORKLOADS for argv in bench.all_argvs(workload)]
     mismatched = []
     for argv in argvs:
         code = cli.run(list(argv))
@@ -442,3 +427,12 @@ def test_benchmarked_calls_print_the_recorded_bytes(capsys, monkeypatch):
             mismatched.append(bench.key(argv))
     assert argvs
     assert mismatched == []
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr

@@ -188,13 +188,10 @@ class TestRhs:
 
 
 class TestWalshHadamardCount:
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_character_sums_are_the_literal_sums(self, g):
-        sums = mirror_mod._character_sums(g)
-        n = 1 << (2 * g)
-        assert len(sums) == n
-        for a in range(n):
-            assert sums[a] == sum((-1) ** (a & x).bit_count() for x in range(n))
+    """
+    N_-(gamma) = (4^g - S[row]) / 2, where S[row], the Walsh-Hadamard character
+    sum of gamma's row, is 4^g at the zero row and 0 at every other row.
+    """
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_counts_match_the_literal_loop(self, g):
@@ -233,16 +230,17 @@ class TestMirrorVerify:
         assert report.passed
 
     def test_sampled_sweep_memory_is_bounded(self):
-        # the character sums are the only 4^g-sized allocation: no element table
-        mirror_verify(8, sample=8)  # warm imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            report = mirror_verify(8, sample=8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.elements_checked == 8
-        assert peak < 4 * 1024 * 1024
+        # a sampled sweep allocates nothing of size 4^g
+        for g, sample in [(8, 8), (10, 64)]:
+            mirror_verify(g, sample=sample)  # warm imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                report = mirror_verify(g, sample=sample)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.elements_checked == sample
+            assert peak < 1024 * 1024, (g, sample, peak)
 
     def test_sampled_sweep(self):
         report = mirror_verify(7, sample=5, seed=11)
