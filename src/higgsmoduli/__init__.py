@@ -6,131 +6,59 @@ polynomials of the moduli spaces of stable bundles and of Higgs bundles,
 each by two independent pipelines; the rank-2 topological mirror-symmetry
 identity between E-polynomials, checked element by element; dimension and
 spectral-curve numerology; and a combinatorial GIT stability toolkit.
+
+Every public name below resolves lazily, on first use, so importing the
+package (or its command line) loads only the modules a caller touches.
 """
 
-from .exactpoly import (
-    BivarPoly,
-    IntPoly,
-    NonDivisible,
-    TailNonzero,
-    TruncSeries,
-    ZeroConstantTerm,
-    bivar_eval_signed_binomial,
-    coeff_extract_x,
-    poly_exact_div,
-    series_expand,
-)
-from .bundles import (
-    classifying_space_poly,
-    poincare_N_closed,
-    poincare_N_recursion,
-    recursion_strata_count,
-    strata_equivariant_poly,
-)
-from .higgs import (
-    DegreeOverflow,
-    bb_codimension,
-    fixed_locus_poincare,
-    poincare_M_closed,
-    poincare_M_stratified,
-)
-from .mirror import (
-    Gamma2Element,
-    IdentityViolation,
-    LengthMismatch,
-    MirrorReport,
-    PairingNotAlternating,
-    TrivialElement,
-    e_poly_kappa_lhs,
-    e_poly_rhs,
-    fermionic_shift,
-    mirror_verify,
-    prym_e_poly,
-    weil_pairing,
-)
-from .geometry import (
-    HNType,
-    IncompatibleTypes,
-    ModuliParams,
-    SpectralNumbers,
-    UnsupportedCombination,
-    hilbert_poly,
-    hitchin_base_dim,
-    hn_codim_rank2,
-    hn_leq,
-    moduli_dim,
-    spectral_numbers,
-)
-from .stability import (
-    Block,
-    EmptyProfile,
-    ExpressionMismatch,
-    FiltrationData,
-    NonIntegerWeight,
-    NonPositiveEuler,
-    Stability,
-    WeightProfile,
-    hm_weight,
-    quotient_semistability_test,
-    torus_classify,
-)
+_EXPORTS = {
+    "exactpoly": (
+        "BivarPoly", "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries",
+        "ZeroConstantTerm", "bivar_eval_signed_binomial", "coeff_extract_x",
+        "poly_exact_div", "series_expand",
+    ),
+    "bundles": (
+        "classifying_space_poly", "poincare_N_closed", "poincare_N_recursion",
+        "recursion_strata_count", "strata_equivariant_poly",
+    ),
+    "higgs": (
+        "DegreeOverflow", "bb_codimension", "fixed_locus_poincare",
+        "poincare_M_closed", "poincare_M_stratified",
+    ),
+    "mirror": (
+        "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
+        "PairingNotAlternating", "TrivialElement", "e_poly_kappa_lhs", "e_poly_rhs",
+        "fermionic_shift", "mirror_verify", "prym_e_poly", "weil_pairing",
+    ),
+    "geometry": (
+        "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",
+        "UnsupportedCombination", "hilbert_poly", "hitchin_base_dim", "hn_codim_rank2",
+        "hn_leq", "moduli_dim", "spectral_numbers",
+    ),
+    "stability": (
+        "Block", "EmptyProfile", "ExpressionMismatch", "FiltrationData",
+        "NonIntegerWeight", "NonPositiveEuler", "Stability", "WeightProfile",
+        "hm_weight", "quotient_semistability_test", "torus_classify",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivarPoly",
-    "IntPoly",
-    "NonDivisible",
-    "TailNonzero",
-    "TruncSeries",
-    "ZeroConstantTerm",
-    "bivar_eval_signed_binomial",
-    "coeff_extract_x",
-    "poly_exact_div",
-    "series_expand",
-    "classifying_space_poly",
-    "poincare_N_closed",
-    "poincare_N_recursion",
-    "recursion_strata_count",
-    "strata_equivariant_poly",
-    "DegreeOverflow",
-    "bb_codimension",
-    "fixed_locus_poincare",
-    "poincare_M_closed",
-    "poincare_M_stratified",
-    "Gamma2Element",
-    "IdentityViolation",
-    "LengthMismatch",
-    "MirrorReport",
-    "PairingNotAlternating",
-    "TrivialElement",
-    "e_poly_kappa_lhs",
-    "e_poly_rhs",
-    "fermionic_shift",
-    "mirror_verify",
-    "prym_e_poly",
-    "weil_pairing",
-    "HNType",
-    "IncompatibleTypes",
-    "ModuliParams",
-    "SpectralNumbers",
-    "UnsupportedCombination",
-    "hilbert_poly",
-    "hitchin_base_dim",
-    "hn_codim_rank2",
-    "hn_leq",
-    "moduli_dim",
-    "spectral_numbers",
-    "Block",
-    "EmptyProfile",
-    "ExpressionMismatch",
-    "FiltrationData",
-    "NonIntegerWeight",
-    "NonPositiveEuler",
-    "Stability",
-    "WeightProfile",
-    "hm_weight",
-    "quotient_semistability_test",
-    "torus_classify",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    """PEP 562: import the submodule that defines a public name on first access."""
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a submodule itself, as after an eager import
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -29,10 +29,9 @@ degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 from __future__ import annotations
 
 from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand
-from .geometry import ModuliParams, hn_codim_rank2
+from .geometry import hn_codim_rank2
 
 __all__ = [
-    "ModuliParams",
     "poincare_N_closed",
     "strata_equivariant_poly",
     "classifying_space_poly",

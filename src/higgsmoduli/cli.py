@@ -8,39 +8,42 @@ or LaTeX.  Exit codes are meant for scripted pipelines:
     1   a mathematical verification failed (pipeline disagreement, mirror
         identity violation, a Weil pairing that is not alternating,
         internal consistency assertion)
-    2   invalid input (bad flags, out-of-range parameters), or an input too
-        large to compute (MemoryError, RecursionError)
+    2   invalid input (bad flags, out-of-range parameters, a value above
+        its stated cap), or an input too large to compute (MemoryError,
+        RecursionError)
+    130 interrupted (KeyboardInterrupt, such as Ctrl-C)
 
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
 arrays) so golden files can compare bytes.
+
+Building the parser imports no computation module: each subcommand imports
+the layer it runs, so a call pays only for the modules it uses.
 """
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import re
 import signal
 import sys
-
-from . import bundles, geometry, higgs, mirror
-from .exactpoly import IntPoly, coeff_extract_x
-from .geometry import ModuliParams, SpectralNumbers
-from .stability import (
-    Block,
-    FiltrationData,
-    WeightProfile,
-    hm_weight,
-    torus_classify,
-)
 
 __all__ = ["build_parser", "run", "main"]
 
 EXHAUSTIVE_MIRROR_MAX_GENUS = 8
 DEFAULT_MIRROR_SAMPLE = 64
+# Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
+# takes about 3.5 s; macdonald at the caps prints about 2.6 MB.
+POINCARE_MAX_GENUS = 400
+MACDONALD_MAX_GENUS = 200
+MACDONALD_MAX_N = 10000
 
 
-def _latex(poly: IntPoly) -> str:
+def _at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
+def _latex(poly) -> str:
     """The plain display as inline LaTeX math, exponents braced: t^3 -> t^{3}."""
     return "$" + re.sub(r"\^(\d+)", r"^{\1}", str(poly)) + "$"
 
@@ -55,6 +58,8 @@ def _latex_table(rows) -> str:
 
 def _output(fmt: str, plain: str, payload: dict, latex: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     elif fmt == "latex":
         print(latex)
@@ -64,12 +69,17 @@ def _output(fmt: str, plain: str, payload: dict, latex: str) -> None:
 
 def _cmd_poincare(args) -> int:
     g = args.genus
+    _at_most("--genus", g, POINCARE_MAX_GENUS)
     if args.space == "vector-bundles":
+        from . import bundles
+
         pipelines = {
             "closed": lambda: bundles.poincare_N_closed(g),
             "recursion": lambda: bundles.poincare_N_recursion(g),
         }
     else:
+        from . import higgs
+
         pipelines = {
             "closed": lambda: higgs.poincare_M_closed(g),
             "strata": lambda: higgs.poincare_M_stratified(g),
@@ -120,11 +130,12 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_mirror(args) -> int:
+    from . import mirror
+
     sample = args.sample
-    cap = 4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1  # the exhaustive sweep's size at that genus
-    if sample is not None and sample > cap:
-        raise ValueError(f"--sample must be at most {cap}, got {sample}")
-    if sample is None and args.genus > EXHAUSTIVE_MIRROR_MAX_GENUS:
+    if sample is not None:  # at most the exhaustive sweep's size at that genus
+        _at_most("--sample", sample, 4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1)
+    elif args.genus > EXHAUSTIVE_MIRROR_MAX_GENUS:
         sample = DEFAULT_MIRROR_SAMPLE
     report = mirror.mirror_verify(args.genus, sample=sample, seed=args.seed)
     payload = {
@@ -148,7 +159,9 @@ def _cmd_mirror(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    params = ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
+    from . import geometry
+
+    params = geometry.ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
     dims = {
         "bundles": geometry.moduli_dim(params, "bundles"),
         "higgs": geometry.moduli_dim(params, "higgs"),
@@ -174,7 +187,9 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    numbers: SpectralNumbers = geometry.spectral_numbers(args.rank, args.genus, args.degree)
+    from . import geometry
+
+    numbers = geometry.spectral_numbers(args.rank, args.genus, args.degree)
     fields = numbers._asdict()
     payload = {"rank": args.rank, "genus": args.genus, "degree": args.degree, **fields}
     width = max(len(name) for name in fields) + 2
@@ -185,11 +200,13 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_git_classify(args) -> int:
+    from . import stability
+
     try:
         weights = tuple(int(w) for w in args.weights.split(",") if w.strip() != "")
     except ValueError:
         raise ValueError(f"--weights expects comma-separated integers, got {args.weights!r}")
-    verdict = torus_classify(WeightProfile(weights))
+    verdict = stability.torus_classify(stability.WeightProfile(weights))
     payload = {"weights": list(weights), "verdict": verdict.value}
     latex = _latex_table([("weights", ",".join(map(str, weights))),
                           ("verdict", verdict.value)])
@@ -197,22 +214,25 @@ def _cmd_git_classify(args) -> int:
     return 0
 
 
-def _parse_blocks(text: str) -> tuple[Block, ...]:
+def _parse_blocks(text: str) -> list[tuple[int, ...]]:
+    """N:a:r:d entries, each as a tuple of four ints."""
     blocks = []
     for chunk in text.split(","):
         pieces = chunk.split(":")
         if len(pieces) != 4:
             raise ValueError(f"--blocks expects N:a:r:d entries, got {chunk!r}")
         try:
-            blocks.append(Block(*(int(p) for p in pieces)))
+            blocks.append(tuple(int(p) for p in pieces))
         except ValueError:
             raise ValueError(f"--blocks entries must be integers, got {chunk!r}")
-    return tuple(blocks)
+    return blocks
 
 
 def _cmd_git_hm(args) -> int:
-    filtration = FiltrationData(_parse_blocks(args.blocks), m=args.m, g=args.genus)
-    weight = hm_weight(filtration)
+    from . import stability
+
+    filtration = stability.FiltrationData(_parse_blocks(args.blocks), m=args.m, g=args.genus)
+    weight = stability.hm_weight(filtration)
     payload = {
         "blocks": [list(b) for b in filtration.blocks],
         "m": filtration.m,
@@ -227,7 +247,11 @@ def _cmd_git_hm(args) -> int:
 
 
 def _cmd_macdonald(args) -> int:
-    poly = coeff_extract_x(args.genus, args.n)
+    _at_most("--genus", args.genus, MACDONALD_MAX_GENUS)
+    _at_most("--n", args.n, MACDONALD_MAX_N)
+    from . import exactpoly
+
+    poly = exactpoly.coeff_extract_x(args.genus, args.n)
     payload = {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}
     _output(args.format, str(poly), payload, _latex(poly))
     return 0
@@ -247,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="Poincare polynomial of a moduli space")
     p.add_argument("--space", choices=["vector-bundles", "higgs"], required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=int, required=True,
+                   help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")
     p.add_argument("--via", choices=["closed", "recursion", "strata", "both"],
                    default="both")
     _add_format(p)
@@ -259,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check this many random nonzero elements instead of all "
                    f"(default: all 2^(2g)-1 through genus {EXHAUSTIVE_MIRROR_MAX_GENUS}, "
                    f"{DEFAULT_MIRROR_SAMPLE} samples above; at most "
-                   f"{4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1}; a genus above {mirror.MAX_GENUS} "
-                   "is rejected)")
+                   f"{4**EXHAUSTIVE_MIRROR_MAX_GENUS - 1}; a genus above the mirror "
+                   "check's cap is rejected)")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p)
     p.set_defaults(func=_cmd_mirror)
@@ -297,8 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_git_hm)
 
     p = sub.add_parser("macdonald", help="Poincare polynomial of a symmetric product")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--genus", type=int, required=True,
+                   help=f"curve genus, at most {MACDONALD_MAX_GENUS}")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"symmetric power, at most {MACDONALD_MAX_N}")
     _add_format(p)
     p.set_defaults(func=_cmd_macdonald)
 
@@ -339,4 +366,9 @@ def main() -> None:
         # buffered writer writes the rest.
         sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.detach()),
                                       encoding=out.encoding, errors=out.errors)
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)

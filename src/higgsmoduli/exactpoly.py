@@ -31,9 +31,10 @@ NonDivisible instead of returning an approximation.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from math import comb
+
+from ._record import Record
 
 
 class NonDivisible(ArithmeticError):
@@ -54,8 +55,7 @@ def _trimmed(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclasses.dataclass(init=False, eq=True, frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """
     A dense polynomial in t with integer coefficients, trailing zeros trimmed.
 
@@ -65,7 +65,7 @@ class IntPoly:
     True
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -234,12 +234,7 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     return [int.from_bytes(buf[i:i + width], "little") - half for i in range(0, len(buf), width)]
 
 
-ONE = IntPoly([1])
-T = IntPoly([0, 1])
-
-
-@dataclasses.dataclass(init=False, eq=True, frozen=True)
-class TruncSeries:
+class TruncSeries(Record):
     """
     A power series in t known modulo t^order.
 
@@ -249,8 +244,7 @@ class TruncSeries:
     since that is all that both operands determine.
     """
 
-    poly: IntPoly
-    order: int
+    __slots__ = _fields = ("poly", "order")
 
     def __init__(self, poly: IntPoly, order: int):
         if order < 0:
@@ -420,16 +414,18 @@ def bivar_eval_signed_binomial(g: int, sign_u: int, sign_v: int) -> BivarPoly:
     return BivarPoly(coeffs)
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class BivarPoly:
+class BivarPoly(Record):
     """
     A sparse polynomial in u and v with integer coefficients.
 
     The coefficient map never stores zeros, so equality of maps is equality
-    of polynomials.
+    of polynomials.  Unlike the other records it is mutable, so unhashable.
     """
 
-    coeffs: dict[tuple[int, int], int]
+    __slots__ = _fields = ("coeffs",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(self, coeffs=None):
         clean: dict[tuple[int, int], int] = {}

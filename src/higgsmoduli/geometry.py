@@ -13,9 +13,9 @@ so order comparisons between types are exact.
 """
 from __future__ import annotations
 
-import dataclasses
-from fractions import Fraction
 from typing import NamedTuple
+
+from ._record import Record
 
 
 class UnsupportedCombination(ValueError):
@@ -29,8 +29,7 @@ class IncompatibleTypes(ValueError):
 _GROUPS = ("GL", "SL", "PGL")
 
 
-@dataclasses.dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(Record):
     """
     The numerical parameters (rank, degree, genus, structure group) that
     every formula takes.  The genus is required to be at least 2, where the
@@ -41,20 +40,16 @@ class ModuliParams:
     dimension and spectral calculators.
     """
 
-    r: int
-    d: int
-    g: int
-    group: str = "SL"
+    __slots__ = _fields = ("r", "d", "g", "group")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, d: int, g: int, group: str = "SL"):
+        if r < 1:
             raise ValueError("rank must be positive")
-        if self.g < 2:
+        if g < 2:
             raise ValueError("genus must be at least 2")
-        group = self.group.upper()
-        if group not in _GROUPS:
-            raise UnsupportedCombination(f"unknown structure group {self.group!r}")
-        object.__setattr__(self, "group", group)
+        if group.upper() not in _GROUPS:
+            raise UnsupportedCombination(f"unknown structure group {group!r}")
+        super().__init__(r, d, g, group.upper())
 
 
 _SPACE_ALIASES = {
@@ -152,16 +147,17 @@ def hilbert_poly(r: int, d: int, g: int, n: int) -> int:
     return d + r * (n + 1 - g)
 
 
-@dataclasses.dataclass(frozen=True)
-class HNType:
+class HNType(Record):
     """
     A Harder-Narasimhan type: blocks (r_i, d_i) of the graded pieces of the
     canonical filtration, with strictly decreasing slopes d_i / r_i.
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks):
+        from fractions import Fraction
+
         blocks = tuple((int(r), int(d)) for r, d in blocks)
         if not blocks:
             raise ValueError("a type needs at least one block")
@@ -170,7 +166,7 @@ class HNType:
         slopes = [Fraction(d, r) for r, d in blocks]
         if any(a <= b for a, b in zip(slopes, slopes[1:])):
             raise ValueError("slopes must be strictly decreasing")
-        object.__setattr__(self, "blocks", blocks)
+        super().__init__(blocks)
 
     def rank(self) -> int:
         return sum(r for r, _ in self.blocks)
@@ -178,8 +174,10 @@ class HNType:
     def degree(self) -> int:
         return sum(d for _, d in self.blocks)
 
-    def slope_vector(self) -> tuple[Fraction, ...]:
-        """Each block's slope repeated r_i times, a vector of length rank()."""
+    def slope_vector(self) -> tuple:
+        """Each block's slope, a Fraction, repeated r_i times: a vector of length rank()."""
+        from fractions import Fraction
+
         out = []
         for r, d in self.blocks:
             out.extend([Fraction(d, r)] * r)
@@ -194,7 +192,7 @@ def hn_leq(a: HNType, b: HNType) -> bool:
     """
     if a.rank() != b.rank() or a.degree() != b.degree():
         raise IncompatibleTypes("types must share total rank and degree")
-    pa, pb = Fraction(0), Fraction(0)
+    pa = pb = 0
     for mu_a, mu_b in zip(a.slope_vector()[:-1], b.slope_vector()[:-1]):
         pa += mu_a
         pb += mu_b

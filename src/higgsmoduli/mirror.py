@@ -38,10 +38,9 @@ ValueError.
 """
 from __future__ import annotations
 
-import dataclasses
-import random
 from math import comb
 
+from ._record import Record
 from .exactpoly import BivarPoly, bivar_eval_signed_binomial
 
 __all__ = [
@@ -101,20 +100,19 @@ class PairingNotAlternating(ArithmeticError):
         )
 
 
-@dataclasses.dataclass(frozen=True, eq=True)
-class Gamma2Element:
+class Gamma2Element(Record):
     """
     An element of Gamma = Jac(X)[2] as a bit vector of length 2g.  The group
     law is componentwise addition mod 2.  Packed integer halves are cached
-    so the pairing is a few word operations.
+    so the pairing is a few word operations; they stay out of equality,
+    hashing and repr.
     """
 
-    bits: tuple[int, ...]
-    _lo: int = dataclasses.field(init=False, repr=False, compare=False)
-    _hi: int = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("bits", "_lo", "_hi")
+    _fields = ("bits",)
 
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+    def __init__(self, bits):
+        bits = tuple(int(b) for b in bits)
         if len(bits) == 0 or len(bits) % 2 != 0:
             raise ValueError("bit vector must have positive even length 2g")
         if any(b not in (0, 1) for b in bits):
@@ -259,13 +257,12 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
     return _rhs_from_count(g, minus)
 
 
-@dataclasses.dataclass(frozen=True)
-class MirrorReport:
-    genus: int
-    elements_checked: int
-    passed: bool
-    lhs: BivarPoly
-    rhs_sample: BivarPoly
+class MirrorReport(Record):
+    __slots__ = _fields = ("genus", "elements_checked", "passed", "lhs", "rhs_sample")
+
+    def __init__(self, genus: int, elements_checked: int, passed: bool,
+                 lhs: BivarPoly, rhs_sample: BivarPoly):
+        super().__init__(genus, elements_checked, passed, lhs, rhs_sample)
 
 
 def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorReport:
@@ -285,6 +282,8 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     else:
         if sample < 1:
             raise ValueError("sample must be positive")
+        import random
+
         values = random.Random(seed).sample(range(1, population + 1), sample)
     lhs = e_poly_kappa_lhs(g)
     rhs_by_count = {}

@@ -25,11 +25,10 @@ Three calculations, all in exact integer (or rational) arithmetic:
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
-from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import Record
 from .geometry import hilbert_poly
 
 __all__ = [
@@ -70,17 +69,16 @@ class Stability(enum.Enum):
     STABLE = "Stable"
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(Record):
     """The multiset of torus weights appearing on the nonzero coordinates of a point."""
 
-    weights: tuple[int, ...]
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights):
         weights = tuple(int(w) for w in weights)
         if not weights:
             raise EmptyProfile("a weight profile must be nonempty")
-        object.__setattr__(self, "weights", weights)
+        super().__init__(weights)
 
 
 def torus_classify(profile: WeightProfile) -> Stability:
@@ -115,8 +113,7 @@ class Block(NamedTuple):
     d: int
 
 
-@dataclasses.dataclass(frozen=True)
-class FiltrationData:
+class FiltrationData(Record):
     """
     A weighted filtration of C^N with strictly decreasing integer weights
     a_1 > ... > a_s satisfying sum N_i a_i = 0 (a one-parameter subgroup of
@@ -124,9 +121,7 @@ class FiltrationData:
     Euler characteristics enter the weight.
     """
 
-    blocks: tuple[Block, ...]
-    m: int
-    g: int
+    __slots__ = _fields = ("blocks", "m", "g")
 
     def __init__(self, blocks, m: int, g: int):
         blocks = tuple(Block(*b) for b in blocks)
@@ -142,9 +137,7 @@ class FiltrationData:
             raise ValueError("weights must satisfy sum N_i a_i = 0")
         if g < 2:
             raise ValueError("genus must be at least 2")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "g", int(g))
+        super().__init__(blocks, int(m), int(g))
 
     @property
     def N(self) -> int:
@@ -158,6 +151,8 @@ def hm_weight(f: FiltrationData) -> int:
     runtime cross-check; the second form is assembled in exact rationals
     and must come out integral.
     """
+    from fractions import Fraction
+
     chis = [hilbert_poly(b.r, b.d, f.g, f.m) for b in f.blocks]
     first = -sum(b.a * chi for b, chi in zip(f.blocks, chis))
 

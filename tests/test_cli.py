@@ -114,7 +114,7 @@ class TestPoincare:
         from higgsmoduli.exactpoly import IntPoly
 
         monkeypatch.setattr(
-            cli.bundles, "poincare_N_recursion",
+            bundles, "poincare_N_recursion",
             lambda g, order=None: IntPoly([1]),
         )
         code, out, _ = invoke(
@@ -126,6 +126,22 @@ class TestPoincare:
         payload = json.loads(out)
         assert payload["agree"] is False
         assert "coeffs_closed" in payload and "coeffs_recursion" in payload
+
+    def test_genus_cap(self, capsys, monkeypatch):
+        import higgsmoduli.bundles as bundles
+
+        code, out, err = invoke(capsys, "poincare", "--space", "higgs", "--genus", "401")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --genus must be at most 400, got 401\n"
+        # 400 itself is accepted (stand-in pipelines keep this fast)
+        monkeypatch.setattr(bundles, "poincare_N_closed", lambda g: IntPoly([g]))
+        monkeypatch.setattr(bundles, "poincare_N_recursion", lambda g: IntPoly([g]))
+        code, out, _ = invoke(capsys, "poincare", "--space", "vector-bundles", "--genus", "400")
+        assert code == 0
+        assert out == "400\nclosed and recursion agree\n"
+        code, out, _ = invoke(capsys, "poincare", "--help")
+        assert code == 0 and "2 to 400" in out
 
 
 class TestMirror:
@@ -322,6 +338,28 @@ class TestMacdonald:
             "n": 3,
         }
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--genus", "201", "--n", "1"), "--genus must be at most 200, got 201"),
+            (("--genus", "2", "--n", "10001"), "--n must be at most 10000, got 10001"),
+            # used to compute first, then fail on Python's int-to-str digit limit
+            (("--genus", "10000", "--n", "10000"), "--genus must be at most 200, got 10000"),
+        ],
+    )
+    def test_caps(self, capsys, argv, message):
+        code, out, err = invoke(capsys, "macdonald", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_largest_accepted_call(self, capsys):
+        code, out, _ = invoke(capsys, "macdonald", "--genus", "200", "--n", "10000")
+        assert code == 0
+        assert out == str(coeff_extract_x(200, 10000)) + "\n"
+        code, out, _ = invoke(capsys, "macdonald", "--help")
+        assert code == 0 and "at most 200" in out and "at most 10000" in out
+
 
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
@@ -377,14 +415,36 @@ class TestPlumbing:
         assert proc.returncode != 1
         assert b"Traceback" not in err
 
+    def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch, restore_sigpipe):
+        import higgsmoduli.bundles as bundles
+
+        def interrupted(g):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bundles, "poincare_N_closed", interrupted)
+        monkeypatch.setattr(sys, "argv", ["higgsmoduli", "poincare", "--space", "vector-bundles",
+                                          "--genus", "2"])
+        try:
+            cli.main()
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.out == ""
+        assert captured.err == "interrupted\n"
+
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_exhaustion_is_input_error(self, capsys, monkeypatch, error):
         # Running out of memory or stack is not a failed cross-check: exit 2,
         # one line on stderr, no traceback.
+        import higgsmoduli.bundles as bundles
+
         def exhausted(g):
             raise error("simulated")
 
-        monkeypatch.setattr(cli.bundles, "poincare_N_closed", exhausted)
+        monkeypatch.setattr(bundles, "poincare_N_closed", exhausted)
         code, out, err = invoke(capsys, "poincare", "--space", "vector-bundles", "--genus", "2")
         assert code == 2
         assert out == ""
@@ -410,13 +470,35 @@ class TestPlumbing:
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
-def test_benchmarked_calls_print_the_recorded_bytes(capsys, monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py, loaded read-only as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmarked_calls_are_inside_the_caps(bench):
+    parser = cli.build_parser()
+    argvs = [argv for workload in bench.WORKLOADS for argv in bench.all_argvs(workload)]
+    commands = set()
+    for argv in argvs:
+        args = parser.parse_args(list(argv))
+        commands.add(args.command)
+        if args.command == "poincare":
+            assert args.genus <= cli.POINCARE_MAX_GENUS, argv
+        elif args.command == "macdonald":
+            assert args.genus <= cli.MACDONALD_MAX_GENUS and args.n <= cli.MACDONALD_MAX_N, argv
+        elif args.command == "mirror" and args.sample is not None:
+            assert args.sample <= 4**cli.EXHAUSTIVE_MIRROR_MAX_GENUS - 1, argv
+    assert {"poincare", "macdonald", "mirror"} <= commands
+
+
+def test_benchmarked_calls_print_the_recorded_bytes(capsys, bench):
     # perfbench/expected.json pins the SHA-256 of every benchmarked call's stdout,
     # over all four workloads
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks itself up there
-    spec.loader.exec_module(bench)
     expected = json.loads(bench.EXPECTED.read_text())
     argvs = [argv for workload in bench.WORKLOADS for argv in bench.all_argvs(workload)]
     mismatched = []

@@ -1,11 +1,65 @@
-"""Package surface: the public names and the runnable docstring examples."""
+"""Package surface: the public names, what an import loads, and the docstring examples."""
 import doctest
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import higgsmoduli
 import higgsmoduli.exactpoly
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
+
+
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running `code`.
+
+    -S keeps site-packages start-up files (which may import modules of their
+    own) out of the count, so only the interpreter and the code remain.
+    """
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
+    modules = loaded_modules("import higgsmoduli.cli")
+    assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}
+    assert modules & HEAVY == set()
+
+
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["dims", "--rank", "2", "--genus", "3"], "higgsmoduli.geometry"),
+        (["git", "classify", "--weights", "1,-1"], "higgsmoduli.stability"),
+    ],
+    ids=["dims", "git-classify"],
+)
+def test_light_call_loads_only_its_layer(argv, layer):
+    modules = loaded_modules(f"from higgsmoduli import cli; cli.run({argv!r})")
+    assert layer in modules
+    assert "higgsmoduli.exactpoly" not in modules
+    assert "higgsmoduli.mirror" not in modules
+    assert modules & HEAVY == set()
+
+
+def test_names_resolve_lazily():
+    modules = loaded_modules("import higgsmoduli")
+    assert {m for m in modules if m.startswith("higgsmoduli")} == {"higgsmoduli"}
+    modules = loaded_modules("from higgsmoduli import moduli_dim")
+    assert "higgsmoduli.geometry" in modules and "higgsmoduli.exactpoly" not in modules
+    # a submodule is still an attribute of the package, as under an eager import
+    modules = loaded_modules("import higgsmoduli; higgsmoduli.mirror.MAX_GENUS")
+    assert "higgsmoduli.mirror" in modules
+    assert set(higgsmoduli.__all__) <= set(dir(higgsmoduli))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        higgsmoduli.no_such_name
 
 
 @pytest.mark.parametrize("name", ["bundles", "higgs", "mirror", "stability"])

@@ -1,0 +1,144 @@
+"""Value records: keyword construction, repr, equality, hashing and immutability."""
+import copy
+import pickle
+
+import pytest
+
+from higgsmoduli.exactpoly import BivarPoly, IntPoly, TruncSeries
+from higgsmoduli.geometry import HNType, ModuliParams
+from higgsmoduli.mirror import Gamma2Element, MirrorReport
+from higgsmoduli.stability import FiltrationData, WeightProfile
+
+
+def report(genus=2):
+    return MirrorReport(genus=genus, elements_checked=15, passed=True,
+                        lhs=BivarPoly({(1, 0): 1}), rhs_sample=BivarPoly({(1, 0): 1}))
+
+
+# (build an instance, its repr, build an unequal instance of the same class, a field)
+CASES = {
+    "IntPoly": (
+        lambda: IntPoly(coeffs=[1, 0, -2, 3]),
+        "IntPoly('1 - 2t^2 + 3t^3')",
+        lambda: IntPoly([1, 0, -2]),
+        "coeffs",
+    ),
+    "TruncSeries": (
+        lambda: TruncSeries(poly=IntPoly([1, 1, 1, 1, 1]), order=3),
+        "TruncSeries(poly=IntPoly('1 + t + t^2'), order=3)",
+        lambda: TruncSeries(IntPoly([1, 1, 1]), 4),
+        "order",
+    ),
+    "BivarPoly": (
+        lambda: BivarPoly(coeffs={(0, 0): 1, (1, 2): -3, (2, 2): 0}),
+        "BivarPoly('+1 1 -3 uv^2')",
+        lambda: BivarPoly({(0, 0): 1}),
+        "coeffs",
+    ),
+    "Gamma2Element": (
+        lambda: Gamma2Element(bits=(1, 0, 0, 1)),
+        "Gamma2Element(bits=(1, 0, 0, 1))",
+        lambda: Gamma2Element((1, 0, 0, 0)),
+        "bits",
+    ),
+    "MirrorReport": (
+        report,
+        "MirrorReport(genus=2, elements_checked=15, passed=True, "
+        "lhs=BivarPoly('+1 u'), rhs_sample=BivarPoly('+1 u'))",
+        lambda: report(genus=3),
+        "passed",
+    ),
+    "ModuliParams": (
+        lambda: ModuliParams(r=2, d=1, g=3, group="pgl"),
+        "ModuliParams(r=2, d=1, g=3, group='PGL')",
+        lambda: ModuliParams(2, 1, 3),
+        "group",
+    ),
+    "HNType": (
+        lambda: HNType(blocks=[(1, 1), (1, 0)]),
+        "HNType(blocks=((1, 1), (1, 0)))",
+        lambda: HNType([(1, 2), (1, -1)]),
+        "blocks",
+    ),
+    "WeightProfile": (
+        lambda: WeightProfile(weights=[1, 0, -2]),
+        "WeightProfile(weights=(1, 0, -2))",
+        lambda: WeightProfile([1, 0]),
+        "weights",
+    ),
+    "FiltrationData": (
+        lambda: FiltrationData(blocks=[(1, 1, 1, 0), (1, -1, 1, 1)], m=5, g=2),
+        "FiltrationData(blocks=(Block(N=1, a=1, r=1, d=0), Block(N=1, a=-1, r=1, d=1)), m=5, g=2)",
+        lambda: FiltrationData([(1, 1, 1, 0), (1, -1, 1, 1)], m=6, g=2),
+        "m",
+    ),
+}
+UNHASHABLE = {"BivarPoly", "MirrorReport"}  # BivarPoly is mutable; the report holds two
+MUTABLE = {"BivarPoly"}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repr(name):
+    make, text, _, _ = CASES[name]
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_equality_is_by_value_and_class(name):
+    make, _, make_other, _ = CASES[name]
+    a, b, other = make(), make(), make_other()
+    assert a is not b and a == b and not a != b
+    assert a != other and not a == other
+    assert a.__eq__(object()) is NotImplemented
+    assert a.__eq__(repr(a)) is NotImplemented
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_hash(name):
+    make, _, _, _ = CASES[name]
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(make())
+    else:
+        assert hash(make()) == hash(make())
+        assert len({make(), make()}) == 1
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_assignment(name):
+    make, _, make_other, field = CASES[name]
+    record = make()
+    replacement = getattr(make_other(), field)
+    if name in MUTABLE:
+        setattr(record, field, replacement)
+        assert getattr(record, field) == replacement
+        return
+    with pytest.raises(AttributeError):
+        setattr(record, field, replacement)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert record == make()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_copies_are_equal(name):
+    make, _, _, _ = CASES[name]
+    record = make()
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_records_of_different_classes_are_never_equal():
+    # equal field values, different classes
+    poly, gamma = IntPoly([0, 1]), Gamma2Element((0, 1))
+    assert poly.coeffs == gamma.bits
+    assert poly.__eq__(gamma) is NotImplemented and poly != gamma
+
+
+def test_gamma2_packed_halves_stay_out_of_equality_and_repr():
+    a, b = Gamma2Element((1, 0, 0, 1)), Gamma2Element((1, 0, 0, 1))
+    object.__setattr__(b, "_lo", a._lo + 4)
+    object.__setattr__(b, "_hi", a._hi + 4)
+    assert a == b and hash(a) == hash(b)
+    assert repr(b) == "Gamma2Element(bits=(1, 0, 0, 1))"
