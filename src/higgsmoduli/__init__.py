@@ -28,7 +28,7 @@ _EXPORTS = {
     "mirror": (
         "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
         "PairingNotAlternating", "TrivialElement", "e_poly_kappa_lhs", "e_poly_rhs",
-        "fermionic_shift", "mirror_verify", "prym_e_poly", "weil_pairing",
+        "fermionic_shift", "mirror_verify", "weil_pairing",
     ),
     "geometry": (
         "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",

@@ -43,6 +43,8 @@ _ONE_PLUS_T = IntPoly([1, 1])
 _ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
 _ONE_MINUS_T2 = IntPoly([1, 0, -1])
 _ONE_MINUS_T4 = IntPoly([1, 0, 0, 0, -1])
+# (1-t^2)(1-t^4), the denominator of both closed forms: Harder-Narasimhan's and Hitchin's.
+_HN_DENOM = _ONE_MINUS_T2 * _ONE_MINUS_T4
 
 
 def _check_genus(g: int) -> None:
@@ -58,7 +60,7 @@ def poincare_N_closed(g: int) -> IntPoly:
     """
     _check_genus(g)
     numerator = _ONE_PLUS_T3 ** (2 * g) - (_ONE_PLUS_T ** (2 * g)).shift(2 * g)
-    return poly_exact_div(numerator, _ONE_MINUS_T2 * _ONE_MINUS_T4)
+    return poly_exact_div(numerator, _HN_DENOM)
 
 
 def strata_equivariant_poly(g: int, order: int) -> TruncSeries:
@@ -84,10 +86,11 @@ def classifying_space_poly(g: int, order: int) -> TruncSeries:
 
 def _working_order(g: int, order: int | None) -> int:
     # The window must cover P_t of the semistable stratum before the final
-    # division: that polynomial has degree exactly 8g - 6.
+    # division: that polynomial has degree exactly 8g - 6.  The default runs
+    # five coefficients further, a guard range that must come out zero.
     minimum = 8 * g - 5
     if order is None:
-        return minimum
+        return 8 * g
     if order < minimum:
         raise ValueError(f"truncation order must be at least {minimum} for genus {g}")
     return order

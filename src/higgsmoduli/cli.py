@@ -36,11 +36,21 @@ DEFAULT_MIRROR_SAMPLE = 64
 POINCARE_MAX_GENUS = 400
 MACDONALD_MAX_GENUS = 200
 MACDONALD_MAX_N = 10000
+# Each integer of dims, spectral and git hm, in absolute value: dims loops over the
+# rank (0.15 s at the cap, 2-vCPU guest); no result nears the 4300-digit print limit.
+NUMBER_MAX = 10**6
 
 
 def _at_most(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
+def _check_numbers(args) -> None:
+    """The caps of dims and spectral, checked before the layer is imported."""
+    _at_most("--rank", args.rank, NUMBER_MAX)
+    _at_most("--genus", args.genus, NUMBER_MAX)
+    _at_most("|--degree|", abs(args.degree), NUMBER_MAX)
 
 
 def _latex(poly) -> str:
@@ -159,6 +169,7 @@ def _cmd_mirror(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    _check_numbers(args)
     from . import geometry
 
     params = geometry.ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
@@ -187,6 +198,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    _check_numbers(args)
     from . import geometry
 
     numbers = geometry.spectral_numbers(args.rank, args.genus, args.degree)
@@ -222,16 +234,21 @@ def _parse_blocks(text: str) -> list[tuple[int, ...]]:
         if len(pieces) != 4:
             raise ValueError(f"--blocks expects N:a:r:d entries, got {chunk!r}")
         try:
-            blocks.append(tuple(int(p) for p in pieces))
+            block = tuple(int(p) for p in pieces)
         except ValueError:
             raise ValueError(f"--blocks entries must be integers, got {chunk!r}")
+        _at_most("|--blocks entry|", max(map(abs, block)), NUMBER_MAX)
+        blocks.append(block)
     return blocks
 
 
 def _cmd_git_hm(args) -> int:
+    _at_most("|--m|", abs(args.m), NUMBER_MAX)
+    _at_most("--genus", args.genus, NUMBER_MAX)
+    blocks = _parse_blocks(args.blocks)
     from . import stability
 
-    filtration = stability.FiltrationData(_parse_blocks(args.blocks), m=args.m, g=args.genus)
+    filtration = stability.FiltrationData(blocks, m=args.m, g=args.genus)
     weight = stability.hm_weight(filtration)
     payload = {
         "blocks": [list(b) for b in filtration.blocks],
@@ -291,17 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mirror)
 
     p = sub.add_parser("dims", help="moduli and Hitchin-base dimensions")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--rank", type=int, required=True, help=f"at most {NUMBER_MAX}")
+    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
+    p.add_argument("--degree", type=int, default=0, help=f"|degree| at most {NUMBER_MAX}")
     p.add_argument("--group", choices=["gl", "sl", "pgl"], default="sl")
     _add_format(p)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("spectral", help="spectral-curve numerology")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--rank", type=int, required=True, help=f"at most {NUMBER_MAX}")
+    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
+    p.add_argument("--degree", type=int, required=True, help=f"|degree| at most {NUMBER_MAX}")
     _add_format(p)
     p.set_defaults(func=_cmd_spectral)
 
@@ -314,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_git_classify)
 
     p = gitsub.add_parser("hm", help="Hilbert-Mumford weight of a filtration")
-    p.add_argument("--blocks", required=True, metavar="N:a:r:d,...")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--blocks", required=True, metavar="N:a:r:d,...",
+                   help=f"graded pieces, |entry| at most {NUMBER_MAX}")
+    p.add_argument("--m", type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
     _add_format(p)
     p.set_defaults(func=_cmd_git_hm)
 
@@ -337,6 +355,9 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:  # argparse (3.11) reads "--genus=--" as [], past type= and choices=
+            parser.error(f"argument --{empty[0]}: expected one argument")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

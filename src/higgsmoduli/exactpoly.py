@@ -189,7 +189,6 @@ class IntPoly(Record):
         product = packed * packed if other is self else packed * _pack(b, width)
         return IntPoly._of_ints(_unpack(product, len(a) + len(b) - 1, width))
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
@@ -271,14 +270,8 @@ class TruncSeries(Record):
                 )
         return self.poly.truncate(max_degree + 1)
 
-    def __add__(self, other: TruncSeries) -> TruncSeries:
-        return TruncSeries(self.poly + other.poly, min(self.order, other.order))
-
     def __sub__(self, other: TruncSeries) -> TruncSeries:
         return TruncSeries(self.poly - other.poly, min(self.order, other.order))
-
-    def __neg__(self) -> TruncSeries:
-        return TruncSeries(-self.poly, self.order)
 
     def __mul__(self, other: int | IntPoly | TruncSeries) -> TruncSeries:
         # Terms at or past the result order cannot reach a kept coefficient.
@@ -438,21 +431,12 @@ class BivarPoly(Record):
                 clean[(int(p), int(q))] = c
         self.coeffs = clean
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, p: int, q: int) -> int:
         return self.coeffs.get((p, q), 0)
-
-    def total_degree(self) -> int:
-        return max((p + q for p, q in self.coeffs), default=-1)
 
     def monomials(self):
         """Items in a stable (sorted) order."""
         return sorted(self.coeffs.items())
-
-    def evaluate(self, u_val: int, v_val: int) -> int:
-        return sum(c * u_val**p * v_val**q for (p, q), c in self.coeffs.items())
 
     def sign_twist(self) -> BivarPoly:
         """Substitute (u, v) -> (-u, -v): each monomial picks up (-1)^(p+q)."""
@@ -488,29 +472,13 @@ class BivarPoly(Record):
             parts.append(f"{c:+d} {term}")
         return f"BivarPoly('{' '.join(parts)}')"
 
-    def __add__(self, other: BivarPoly) -> BivarPoly:
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BivarPoly(out)
-
     def __sub__(self, other: BivarPoly) -> BivarPoly:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0) - c
         return BivarPoly(out)
 
-    def __neg__(self) -> BivarPoly:
-        return BivarPoly({key: -c for key, c in self.coeffs.items()})
-
-    def __mul__(self, other: int | BivarPoly) -> BivarPoly:
-        if isinstance(other, int):
-            return BivarPoly({key: c * other for key, c in self.coeffs.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self.coeffs.items():
-            for (p2, q2), c2 in other.coeffs.items():
-                key = (p1 + p2, q1 + q2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivarPoly(out)
+    def __mul__(self, other: int) -> BivarPoly:
+        return BivarPoly({key: c * other for key, c in self.coeffs.items()})
 
     __rmul__ = __mul__

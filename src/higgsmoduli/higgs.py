@@ -23,18 +23,17 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
   without that weight; the weight is forced by where the classes live, and
   only with it does the stratified sum reproduce the closed form below.
 
-* Hitchin's closed form: four rational terms whose series expansions are
-  genuinely infinite individually but whose tails cancel in the sum.  The
-  sum is expanded past degree 6g - 6 and the vanishing of every coefficient
-  in the guard window is asserted; that cancellation is the correctness
-  test of the transcription.
+* Hitchin's closed form: four terms, three of them infinite series over
+  the Harder-Narasimhan denominator (1-t^2)(1-t^4) whose sum is a
+  polynomial.  Their summed numerator must divide exactly; that division is
+  the correctness test of the transcription.
 """
 from __future__ import annotations
 
 from math import comb
 
-from .bundles import _ONE_MINUS_T2, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
-from .exactpoly import IntPoly, TruncSeries, coeff_extract_x, poly_exact_div, series_expand
+from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, _check_genus, poincare_N_closed
+from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div
 
 __all__ = [
     "DegreeOverflow",
@@ -51,8 +50,7 @@ class DegreeOverflow(ArithmeticError):
 
 def _check_stratum(g: int, k: int) -> None:
     """Nontrivial fixed loci are indexed by k = 1 .. g-1."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_genus(g)
     if not 1 <= k <= g - 1:
         raise ValueError(f"k must lie in 1 .. {g - 1}")
 
@@ -97,9 +95,9 @@ _ONE_MINUS_T = IntPoly([1, -1])
 _ONE_PLUS_T2 = IntPoly([1, 0, 1])
 
 
-def poincare_M_closed(g: int, order: int | None = None) -> IntPoly:
+def poincare_M_closed(g: int) -> IntPoly:
     """
-    Hitchin's closed form, summed as truncated series:
+    Hitchin's closed form:
 
         (1+t^3)^(2g) / ((1-t^2)(1-t^4))
         - t^(4g-4) [(1+t^2)^2 (1+t)^(2g) - (1+t)^4 (1-t)^(2g)]
@@ -107,28 +105,21 @@ def poincare_M_closed(g: int, order: int | None = None) -> IntPoly:
         - (g-1) t^(4g-3) (1+t)^(2g-2) / (1-t)
         + 2^(2g-1) t^(4g-4) [(1+t)^(2g-2) - (1-t)^(2g-2)].
 
-    The bracket in the second term is divisible by 4 as an integer
-    polynomial (both differences vanish mod 4), so every term is an integer
-    series.  The default window runs a few degrees past 6g - 6 and the
-    vanishing of all guard coefficients is asserted.
+    The bracket is divisible by 4 (both differences vanish mod 4), and
+    (1-t^2)(1-t^4) / (1-t) = (1+t)(1-t^4), so the first three terms are one
+    numerator over (1-t^2)(1-t^4), divided exactly before the polynomial
+    fourth term is added.  A remainder raises NonDivisible and a degree
+    above 6g - 6 raises DegreeOverflow.  Only errors in the first three
+    terms trip these checks: a wrong fourth term still has degree 6g - 6,
+    and only the comparison with poincare_M_stratified exposes it.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    window = 6 * g if order is None else order
-    if window < 6 * g - 5:
-        raise ValueError(f"truncation order must be at least {6 * g - 5} for genus {g}")
-    denom = _ONE_MINUS_T2 * _ONE_MINUS_T4
-
-    term1 = series_expand(_ONE_PLUS_T3 ** (2 * g), denom, window)
-
+    _check_genus(g)
     bracket = _ONE_PLUS_T2 ** 2 * _ONE_PLUS_T ** (2 * g) - _ONE_PLUS_T ** 4 * _ONE_MINUS_T ** (2 * g)
     quarter = poly_exact_div(bracket, IntPoly([4]))
-    term2 = -series_expand(quarter.shift(4 * g - 4), denom, window)
-
-    term3 = -(g - 1) * series_expand((_ONE_PLUS_T ** (2 * g - 2)).shift(4 * g - 3), _ONE_MINUS_T, window)
-
+    term3 = (g - 1) * (_ONE_PLUS_T ** (2 * g - 1) * _ONE_MINUS_T4).shift(4 * g - 3)
+    numerator = _ONE_PLUS_T3 ** (2 * g) - quarter.shift(4 * g - 4) - term3
     evens = _ONE_PLUS_T ** (2 * g - 2) - _ONE_MINUS_T ** (2 * g - 2)
-    term4 = TruncSeries((evens * 2 ** (2 * g - 1)).shift(4 * g - 4), window)
-
-    total = term1 + term2 + term3 + term4
-    return total.polynomial_part(6 * g - 6)
+    total = poly_exact_div(numerator, _HN_DENOM) + (evens * 2 ** (2 * g - 1)).shift(4 * g - 4)
+    if total.degree() > 6 * g - 6:
+        raise DegreeOverflow(f"degree {total.degree()} exceeds {6 * g - 6}")
+    return total

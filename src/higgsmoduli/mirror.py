@@ -52,7 +52,6 @@ __all__ = [
     "MirrorReport",
     "weil_pairing",
     "e_poly_kappa_lhs",
-    "prym_e_poly",
     "e_poly_rhs",
     "fermionic_shift",
     "mirror_verify",
@@ -132,10 +131,6 @@ class Gamma2Element(Record):
         return self._lo == 0 and self._hi == 0
 
     @classmethod
-    def zero(cls, g: int) -> Gamma2Element:
-        return cls((0,) * (2 * g))
-
-    @classmethod
     def from_int(cls, value: int, g: int) -> Gamma2Element:
         if not 0 <= value < 1 << (2 * g):
             raise ValueError("value out of range")
@@ -185,15 +180,6 @@ def e_poly_kappa_lhs(g: int) -> BivarPoly:
             if (p + q) % 2 == 1:
                 coeffs[(p, q)] = -comb(g - 1, p) * comb(g - 1, q)
     return BivarPoly(coeffs).shift_uv(3 * g - 3)
-
-
-def prym_e_poly(g: int) -> BivarPoly:
-    """
-    E-polynomial (1+u)^(g-1) (1+v)^(g-1) of the Prym variety of an
-    unramified double cover of the curve, an abelian variety of dimension
-    g - 1 with Hodge numbers C(g-1, p) C(g-1, q).
-    """
-    return bivar_eval_signed_binomial(g, 1, 1)
 
 
 def _minus_counts(g: int, gammas):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsmoduli import bundles
 from higgsmoduli.bundles import (
     classifying_space_poly,
     poincare_N_closed,
@@ -10,7 +11,7 @@ from higgsmoduli.bundles import (
     recursion_strata_count,
     strata_equivariant_poly,
 )
-from higgsmoduli.exactpoly import IntPoly
+from higgsmoduli.exactpoly import IntPoly, TailNonzero
 
 N_G2 = IntPoly([1, 0, 1, 4, 1, 0, 1])
 
@@ -54,8 +55,8 @@ class TestRecursionIngredients:
         assert strata_equivariant_poly(2, 1).poly == IntPoly([1])
 
     def test_strata_count_genus_two(self):
-        # codims 4 and 8 fall inside the default window 8g-5 = 11
-        assert recursion_strata_count(2) == 2
+        # codims 4, 8 and 12 fall inside the default window 8g = 16
+        assert recursion_strata_count(2) == 3
 
     def test_strata_count_grows_with_genus(self):
         counts = [recursion_strata_count(g) for g in range(2, 8)]
@@ -79,6 +80,15 @@ class TestRecursion:
     def test_order_too_small_rejected(self):
         with pytest.raises(ValueError):
             poincare_N_recursion(2, order=7)
+
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    def test_dropped_stratum_fails_the_guard(self, monkeypatch, g):
+        # the guard coefficients past degree 8g - 6 catch a missing stratum
+        # before the final division does
+        strata_codims = bundles._strata_codims
+        monkeypatch.setattr(bundles, "_strata_codims", lambda g, w: strata_codims(g, w)[:-1])
+        with pytest.raises(TailNonzero):
+            poincare_N_recursion(g)
 
     def test_matches_closed_form_genus_100(self):
         assert poincare_N_recursion(100) == poincare_N_closed(100)

@@ -1,4 +1,5 @@
 """Command-line surface: dispatch, formats, exit codes, JSON stability."""
+import contextlib
 import importlib.util
 import io
 import json
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsmoduli import cli
 from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
@@ -361,6 +364,56 @@ class TestMacdonald:
         assert code == 0 and "at most 200" in out and "at most 10000" in out
 
 
+class TestNumberCaps:
+    BIG = "1" + "0" * 2100  # parses (under 4300 digits), but r^2 g would not print
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dims", "--rank", "1000000000000", "--genus", "2"),
+             "--rank must be at most 1000000, got 1000000000000"),
+            (("dims", "--rank", "2", "--genus", "1000001"),
+             "--genus must be at most 1000000, got 1000001"),
+            (("dims", "--rank", "2", "--genus", "2", "--degree=-1000001"),
+             "|--degree| must be at most 1000000, got 1000001"),
+            (("spectral", "--rank", BIG, "--genus", BIG, "--degree", "0"),
+             f"--rank must be at most 1000000, got {BIG}"),
+            (("spectral", "--rank", "2", "--genus", "2", "--degree", "1000001"),
+             "|--degree| must be at most 1000000, got 1000001"),
+            (("git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", BIG, "--genus", "2"),
+             f"|--m| must be at most 1000000, got {BIG}"),
+            (("git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "1000001"),
+             "--genus must be at most 1000000, got 1000001"),
+            (("git", "hm", "--blocks", "1:1:1:0,1:-1:1:-1000001", "--m", "5", "--genus", "2"),
+             "|--blocks entry| must be at most 1000000, got 1000001"),
+        ],
+        ids=["dims-rank", "dims-genus", "dims-degree", "spectral-huge", "spectral-degree",
+             "hm-m", "hm-genus", "hm-block"],
+    )
+    def test_caps(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dims", "--rank", "1000000", "--genus", "1000000", "--degree=-1000000"),
+            ("spectral", "--rank", "1000000", "--genus", "1000000", "--degree", "1000000"),
+            ("git", "hm", "--blocks", "1000000:1000000:1000000:-1000000,1000000:-1000000:1:1000000",
+             "--m=-1000000", "--genus", "1000000"),
+        ],
+        ids=["dims", "spectral", "git-hm"],
+    )
+    def test_largest_accepted_call(self, capsys, argv):
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        help_argv = argv[:2] if argv[0] == "git" else argv[:1]
+        code, out, _ = invoke(capsys, *help_argv, "--help")
+        assert code == 0 and "at most 1000000" in out
+
+
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
@@ -369,6 +422,16 @@ class TestPlumbing:
     def test_unknown_command(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("dims", "--rank", "2", "--genus=--"), "--genus"),
+        (("poincare", "--space=--", "--genus", "2"), "--space"),
+    ])
+    def test_double_dash_as_a_value_is_a_usage_error(self, capsys, argv, flag):
+        # argparse hands "--flag=--" over as an empty list, past type= and choices=
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"higgsmoduli: error: argument {flag}: expected one argument"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
@@ -470,6 +533,78 @@ class TestPlumbing:
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
+def _joined(values, sep):
+    return st.lists(values, max_size=5).map(lambda xs: sep.join(map(str, xs)))
+
+
+# Each subcommand's flags with well-formed values, inside the caps and small
+# enough that every call finishes in milliseconds.
+GRAMMAR = {
+    "poincare": {
+        "--space": st.sampled_from(["vector-bundles", "higgs"]),
+        "--genus": st.integers(-1, 8),
+        "--via": st.sampled_from(["closed", "recursion", "strata", "both"]),
+    },
+    "mirror": {
+        "--genus": st.integers(-1, 4),
+        "--sample": st.integers(-2, 300),
+        "--seed": st.integers(-9, 9),
+    },
+    "dims": {
+        "--rank": st.integers(-1, 60),
+        "--genus": st.integers(-1, 60),
+        "--degree": st.integers(-60, 60),
+        "--group": st.sampled_from(["gl", "sl", "pgl"]),
+    },
+    "spectral": {
+        "--rank": st.integers(-1, 60),
+        "--genus": st.integers(-1, 60),
+        "--degree": st.integers(-60, 60),
+    },
+    "git classify": {"--weights": _joined(st.integers(-9, 9), ",")},
+    "git hm": {
+        "--blocks": st.sampled_from(["1:1:1:0,1:-1:1:1", "2:1:2:3,1:0:1:0,2:-1:1:-2"])
+        | _joined(_joined(st.integers(-4, 4), ":"), ","),
+        "--m": st.integers(-30, 30),
+        "--n": st.integers(-9, 9),
+        "--genus": st.integers(-1, 9),
+    },
+    "macdonald": {"--genus": st.integers(-1, 12), "--n": st.integers(-1, 40)},
+}
+MALFORMED = st.one_of(
+    st.sampled_from(["", "x", "1.5", "-", "--", "1e3", "0x10", "1,,2", "1:2", "--bogus", "-h"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = {**GRAMMAR[command], "--format": st.sampled_from(["plain", "json", "latex"])}
+    argv = command.split()
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 9)) == 0:  # leave a flag out now and then
+            continue
+        value = draw(MALFORMED if draw(st.integers(0, 9)) == 0 else flags[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_zero_or_two(argv):
+    # a well-formed or malformed call is answered or rejected, never reported
+    # as a failed cross-check, and never escapes cli.run as an exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+    elif "-h" not in argv:
+        assert err.getvalue() == "" and out.getvalue() != "", argv
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """perfbench/run.py, loaded read-only as a module."""
@@ -493,7 +628,12 @@ def test_benchmarked_calls_are_inside_the_caps(bench):
             assert args.genus <= cli.MACDONALD_MAX_GENUS and args.n <= cli.MACDONALD_MAX_N, argv
         elif args.command == "mirror" and args.sample is not None:
             assert args.sample <= 4**cli.EXHAUSTIVE_MIRROR_MAX_GENUS - 1, argv
-    assert {"poincare", "macdonald", "mirror"} <= commands
+        elif args.command in ("dims", "spectral"):
+            assert max(args.rank, args.genus, abs(args.degree)) <= cli.NUMBER_MAX, argv
+        elif args.command == "git" and args.git_command == "hm":
+            entries = [int(x) for block in args.blocks.split(",") for x in block.split(":")]
+            assert max(abs(args.m), args.genus, *map(abs, entries)) <= cli.NUMBER_MAX, argv
+    assert {"poincare", "macdonald", "mirror", "dims", "spectral", "git"} <= commands
 
 
 def test_benchmarked_calls_print_the_recorded_bytes(capsys, bench):

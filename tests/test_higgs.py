@@ -1,10 +1,12 @@
 """Higgs moduli: Bialynicki-Birula stratified sum vs the four-term closed form."""
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsmoduli import higgs
 from higgsmoduli.bundles import poincare_N_closed
 from higgsmoduli.exactpoly import IntPoly
 from higgsmoduli.higgs import (
@@ -16,6 +18,15 @@ from higgsmoduli.higgs import (
 )
 
 M_G2 = IntPoly([1, 0, 1, 4, 2, 34, 2])
+
+
+def mutated_closed_form(original, mutant):
+    """poincare_M_closed with one source fragment replaced, run in the module's namespace."""
+    source = inspect.getsource(higgs.poincare_M_closed)
+    assert source.count(original) == 1, original
+    namespace = dict(vars(higgs))
+    exec(source.replace(original, mutant), namespace)
+    return namespace["poincare_M_closed"]
 
 
 class TestStratumIndex:
@@ -115,12 +126,29 @@ class TestClosedForm:
         for g in range(2, 6):
             assert poincare_M_closed(g) == poincare_M_stratified(g)
 
-    def test_larger_order_same_answer(self):
-        assert poincare_M_closed(3, order=25) == poincare_M_closed(3)
+    @pytest.mark.parametrize(
+        "original, mutant",
+        [
+            ("term3 = (g - 1) * (", "term3 = g * ("),
+            (".shift(4 * g - 3)", ".shift(4 * g - 2)"),
+            ("_ONE_PLUS_T ** (2 * g - 1)", "_ONE_PLUS_T ** (2 * g)"),
+            ("_ONE_PLUS_T3 ** (2 * g)", "_ONE_PLUS_T3 ** (2 * g - 1)"),
+        ],
+        ids=["term3-factor", "term3-shift", "term3-power", "term1-power"],
+    )
+    def test_mutated_rational_term_fails_its_own_check(self, original, mutant):
+        closed = mutated_closed_form(original, mutant)
+        for g in (2, 3, 10):
+            with pytest.raises(ArithmeticError):
+                closed(g)
 
-    def test_order_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            poincare_M_closed(2, order=4)
+    def test_mutated_polynomial_term_needs_the_other_route(self):
+        # the fourth term is a polynomial, so no division or degree check sees
+        # a wrong coefficient; only the comparison with the strata does
+        closed = mutated_closed_form("2 ** (2 * g - 1)", "2 ** (2 * g - 2)")
+        for g in (2, 3, 10):
+            assert closed(g).degree() == 6 * g - 6
+            assert closed(g) != poincare_M_stratified(g)
 
     def test_genus_validation(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,15 @@ def test_light_call_loads_only_its_layer(argv, layer):
     assert modules & HEAVY == set()
 
 
+def test_value_above_a_cap_is_rejected_before_any_layer_loads():
+    for argv in (["dims", "--rank", "1000001", "--genus", "2"],
+                 ["spectral", "--rank", "2", "--genus", "1000001", "--degree", "0"],
+                 ["git", "hm", "--blocks", "1:1:1:0", "--m", "1000001", "--genus", "2"],
+                 ["macdonald", "--genus", "201", "--n", "1"]):
+        modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 2")
+        assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}, argv
+
+
 def test_names_resolve_lazily():
     modules = loaded_modules("import higgsmoduli")
     assert {m for m in modules if m.startswith("higgsmoduli")} == {"higgsmoduli"}
@@ -64,8 +73,9 @@ def test_names_resolve_lazily():
 
 @pytest.mark.parametrize("name", ["bundles", "higgs", "mirror", "stability"])
 def test_submodule_exports_are_package_exports(name):
+    # both directions, so a deleted name cannot stay behind in either list
     module = importlib.import_module(f"higgsmoduli.{name}")
-    assert set(module.__all__) <= set(higgsmoduli.__all__)
+    assert sorted(module.__all__) == sorted(higgsmoduli._EXPORTS[name])
 
 
 def test_package_exports_resolve():
