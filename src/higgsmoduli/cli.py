@@ -32,12 +32,12 @@ __all__ = ["build_parser", "run", "main"]
 EXHAUSTIVE_MIRROR_MAX_GENUS = 8
 DEFAULT_MIRROR_SAMPLE = 64
 # Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
-# takes about 3.5 s; macdonald at the caps prints about 2.6 MB.
+# takes about 2.6 s; macdonald at the caps prints about 2.6 MB.
 POINCARE_MAX_GENUS = 400
 MACDONALD_MAX_GENUS = 200
 MACDONALD_MAX_N = 10000
-# Each integer of dims, spectral and git hm, in absolute value: dims loops over the
-# rank (0.15 s at the cap, 2-vCPU guest); no result nears the 4300-digit print limit.
+# Each integer of dims, spectral and git hm, in absolute value: no result nears
+# the 4300-digit print limit.
 NUMBER_MAX = 10**6
 
 

@@ -14,15 +14,23 @@ the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
 binary operations keep the smaller of the two orders.
 
-Polynomial products and powers use Kronecker substitution: both operands are
-evaluated at t = 2^k, with k a whole number of bytes wide enough for any
-coefficient of the result and its sign, so each evaluation is one Python int.
-A single integer multiplication (or power), for which CPython switches to
-Karatsuba at large sizes, then yields the product evaluated at 2^k, and
-offsetting every k-bit slot by 2^(k-1) lets one to_bytes call read the
-coefficients back.  This stays exact integer arithmetic throughout, with no
-floats; the schoolbook double loop it replaces is kept in the test suite as
-the oracle it is checked against.
+Polynomial products use Kronecker substitution: both operands are evaluated
+at t = 2^k, with k a whole number of bytes wide enough for any coefficient of
+the product and its sign, so each evaluation is one Python int.  A single
+integer multiplication, for which CPython switches to Karatsuba at large
+sizes, then yields the product evaluated at 2^k, and offsetting every k-bit
+slot by 2^(k-1) lets one to_bytes call read the coefficients back.  The
+schoolbook double loop it replaces is kept in the test suite as the oracle it
+is checked against.
+
+Powers use J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
+section 4.7) instead: q = p^n satisfies p q' = n p' q, which gives each
+coefficient of q from the ones below it through one division by k p_0.  The
+quotient is an integer because q has integer coefficients, so the division is
+exact; every step checks its remainder, and a nonzero one raises NonDivisible
+rather than being rounded.  For the sparse bases the pipelines raise to
+powers in the hundreds, this costs a few small-by-big multiplications per
+coefficient instead of squaring a packed integer of the power's full size.
 
 Exact division and series expansion share one convolution core that proceeds
 from the constant term upward (every denominator we meet is 1 + higher order
@@ -31,7 +39,8 @@ NonDivisible instead of returning an approximation.
 """
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from math import comb
 
 from ._record import Record
@@ -85,7 +94,8 @@ class IntPoly(Record):
     def monomial(exponent: int, coeff: int = 1) -> IntPoly:
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        return IntPoly([0] * exponent + [coeff])
+        coeffs = [0] * exponent + [coeff]
+        return IntPoly._of_ints(coeffs) if isinstance(coeff, int) else IntPoly(coeffs)
 
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -165,14 +175,10 @@ class IntPoly(Record):
         return f"IntPoly('{self}')"
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
-        coeffs = (other,) if isinstance(other, int) else other.coeffs
-        pairs = itertools.zip_longest(self.coeffs, coeffs, fillvalue=0)
-        return IntPoly._of_ints(a + b for a, b in pairs)
+        return IntPoly._of_ints(map(operator.add, *_padded(self, other)))
 
     def __sub__(self, other: int | IntPoly) -> IntPoly:
-        coeffs = (other,) if isinstance(other, int) else other.coeffs
-        pairs = itertools.zip_longest(self.coeffs, coeffs, fillvalue=0)
-        return IntPoly._of_ints(a - b for a, b in pairs)
+        return IntPoly._of_ints(map(operator.sub, *_padded(self, other)))
 
     def __neg__(self) -> IntPoly:
         return IntPoly._of_ints(-c for c in self.coeffs)
@@ -192,16 +198,47 @@ class IntPoly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
+        """
+        The n-th power, by Miller's recurrence after stripping the factor t^v.
+
+        With p_0 the constant term of the stripped base, q = p^n has q_0 =
+        p_0^n and, for k >= 1,
+
+            k p_0 q_k = sum over i >= 1 with p_i != 0 of ((n + 1) i - k) p_i q_(k-i),
+
+        one exact division per coefficient; the result is shifted back by v n.
+
+        >>> IntPoly([0, 1, 0, 0, -1]) ** 3
+        IntPoly('t^3 - 3t^6 + 3t^9 - t^12')
+        """
         if n < 0:
             raise ValueError("negative powers are not polynomials")
         if n == 0:
             return IntPoly([1])
         if self.is_zero():
             return self
-        # No coefficient of self^n exceeds (sum |a_i|)^n.
-        width = _slot_width(sum(map(abs, self.coeffs)) ** n)
-        power = _pack(self.coeffs, width) ** n
-        return IntPoly._of_ints(_unpack(power, n * self.degree() + 1, width))
+        v = self.valuation()
+        p = self.coeffs[v:]
+        p0 = p[0]
+        terms = [(i, c) for i, c in enumerate(p) if i and c]
+        q = [p0**n]
+        for k in range(1, n * (len(p) - 1) + 1):
+            acc = 0
+            for i, c in terms:
+                if i > k:
+                    break
+                acc += ((n + 1) * i - k) * c * q[k - i]
+            quot, rem = divmod(acc, k * p0)
+            if rem:
+                raise NonDivisible(f"coefficient {acc} of t^{k} is not divisible by {k * p0}")
+            q.append(quot)
+        return IntPoly._of_ints([0] * (v * n) + q)
+
+
+def _padded(p: IntPoly, other: int | IntPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coefficients of p and of other, both padded with zeros to one length."""
+    a, b = p.coeffs, (other,) if isinstance(other, int) else other.coeffs
+    return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
 
 
 def _slot_width(bound: int) -> int:
@@ -365,9 +402,14 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
         sum over a + b + c = n of  C(2g, c) t^(c + 2b),
 
     so the coefficient of t^j is the sum of C(2g, c) over c = j (mod 2) with
-    0 <= c <= min(j, 2n - j, 2g).  The binomial row is built once by its
-    multiplicative recurrence and summed by parity, and each of the 2n + 1
-    coefficients is read off one prefix sum: O(n + g) exact integer steps.
+    0 <= c <= min(j, 2n - j, 2g).  With top = min(2g, n), these sums rise
+    through the prefix sums of the binomial row for j <= top, alternate
+    between the last two of them on the plateau top < j < 2n - top, and
+    mirror the rise for j >= 2n - top.  The parity prefix sums of the whole
+    row, 2g + 1 of them whatever n is, are built once per genus, so
+    consecutive calls at one genus (the fixed loci of one Higgs moduli space)
+    share them: O(n + g) exact integer steps for the first call and O(n)
+    list slicing for the next.
 
     >>> coeff_extract_x(2, 1)
     IntPoly('1 + 4t + t^2')
@@ -375,18 +417,25 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
     top = min(2 * g, n)
-    # prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ...
+    rise = _parity_prefix(g)[:top + 1]
+    if top == n:
+        return IntPoly._of_ints(rise + rise[-2::-1])
+    # 2n - 2 top - 1 coefficients, odd in number, starting and ending one below top;
+    # here top = 2g, and both sums are 2^(2g-1) unless g = 0
+    below = rise[-2] if top else 0
+    plateau = [below, rise[-1]] * (n - top - 1) + [below]
+    return IntPoly._of_ints(rise + plateau + rise[::-1])
+
+
+@functools.lru_cache(maxsize=1)
+def _parity_prefix(g: int) -> list[int]:
+    """prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ... for c = 0 .. 2g."""
     prefix: list[int] = []
     binom = 1
-    for c in range(top + 1):
+    for c in range(2 * g + 1):
         prefix.append(binom + (prefix[c - 2] if c >= 2 else 0))
         binom = binom * (2 * g - c) // (c + 1)
-    out = []
-    for j in range(2 * n + 1):
-        last = min(j, 2 * n - j, top)
-        last -= (j - last) % 2
-        out.append(prefix[last] if last >= 0 else 0)
-    return IntPoly(out)
+    return prefix
 
 
 def bivar_eval_signed_binomial(g: int, sign_u: int, sign_v: int) -> BivarPoly:

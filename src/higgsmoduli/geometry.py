@@ -94,17 +94,16 @@ def hitchin_base_dim(r: int, g: int, reduced: bool = False) -> int:
 
     By Riemann-Roch, h^0 of the i-th power of the canonical bundle, a line
     bundle of degree 2i(g-1), is g for i = 1 and, for i >= 2 where the degree
-    exceeds 2g-2 and h^1 vanishes, 2i(g-1) + 1 - g = (2i-1)(g-1).  Summing
-    gives half the dimension of the corresponding Higgs moduli space.
+    exceeds 2g-2 and h^1 vanishes, 2i(g-1) + 1 - g = (2i-1)(g-1).  The odd
+    numbers 3 + 5 + ... + (2r-1) sum to r^2 - 1, so the total is
+    (g-1)(r^2-1), plus g for the unreduced base: half the dimension of the
+    corresponding Higgs moduli space.
     """
     if r < 1:
         raise ValueError("rank must be positive")
     if g < 2:
         raise ValueError("genus must be at least 2")
-    total = 0
-    for i in range(2 if reduced else 1, r + 1):
-        total += g if i == 1 else (2 * i - 1) * (g - 1)
-    return total
+    return (g - 1) * (r * r - 1) + (0 if reduced else g)
 
 
 class SpectralNumbers(NamedTuple):

@@ -44,6 +44,17 @@ def macdonald_double_loop(g, n):
     return IntPoly(out)
 
 
+def binomial_row(a, b, k, n):
+    """Coefficients of (a + b t^k)^n from math.comb."""
+    out = [0] * (k * n + 1)
+    for j in range(n + 1):
+        out[k * j] = math.comb(n, j) * a ** (n - j) * b**j
+    return out
+
+
+# 0, 1, the byte boundary, and the powers the pipelines take at g = 200
+POWER_EXPONENTS = [0, 1, 255, 256, 400, 800]
+
 HUGE = 2**600
 coefficients = st.one_of(
     st.integers(-3, 3),
@@ -161,9 +172,27 @@ class TestKroneckerProduct:
         assert square * square == schoolbook(square, IntPoly([-m] * n))
 
     def test_pow_reaches_its_bound(self):
-        # (sum |a_i|)^n is attained by the constant term of a one-term base
+        # (sum |a_i|)^n bounds every coefficient of p^n; a one-term base attains it
         assert IntPoly([-HUGE]) ** 5 == IntPoly([-(HUGE**5)])
         assert IntPoly([3, 3]) ** 8 == IntPoly([3**8 * math.comb(8, k) for k in range(9)])
+
+    @pytest.mark.parametrize("n", POWER_EXPONENTS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_binomial_powers_match_comb_rows(self, k, n):
+        for a in (1, -1, 3, -3):
+            for b in (1, -1, 3, -3):
+                base = IntPoly([a] + [0] * (k - 1) + [b])
+                assert base**n == IntPoly(binomial_row(a, b, k, n))
+
+    @pytest.mark.parametrize("n", POWER_EXPONENTS)
+    def test_pow_strips_the_valuation(self, n):
+        # (t^2 - 3t^5)^n = t^(2n) (1 - 3t^3)^n
+        base = IntPoly([0, 0, 1, 0, 0, -3])
+        assert base**n == IntPoly([0] * (2 * n) + binomial_row(1, -3, 3, n))
+
+    def test_pow_of_product_matches_product_of_pows(self):
+        # the left side is one recurrence on a four-term base, the right one Kronecker product
+        assert (ONE_PLUS_T * IntPoly([1, 0, 0, 1])) ** 800 == ONE_PLUS_T**800 * IntPoly([1, 0, 0, 1]) ** 800
 
 
 class TestPolyExactDiv:
@@ -321,9 +350,19 @@ class TestCoeffExtract:
     def test_matches_double_loop(self, g, n):
         assert coeff_extract_x(g, n) == macdonald_double_loop(g, n)
 
-    @pytest.mark.parametrize("g, n", [(50, 97), (50, 99), (50, 100), (50, 101), (50, 160), (7, 40)])
+    @pytest.mark.parametrize(
+        "g, n",
+        [(50, 97), (50, 99), (50, 100), (50, 101), (50, 160), (7, 40)]
+        # top = min(2g, n) = 0 and 1, and the plateau's parity either side of 2g
+        + [(g, n) for g in range(4) for n in range(4 * g + 4)],
+    )
     def test_matches_double_loop_either_side_of_2g(self, g, n):
         assert coeff_extract_x(g, n) == macdonald_double_loop(g, n)
+
+    def test_interleaved_genera_match_fresh_results(self):
+        # the binomial row is cached for one genus at a time; switching genus must rebuild it
+        calls = [(g, n) for n in (0, 3, 9, 11, 16) for g in (5, 7, 5)]
+        assert [coeff_extract_x(g, n) for g, n in calls] == [macdonald_double_loop(g, n) for g, n in calls]
 
     @given(st.integers(2, 5), st.integers(0, 6))
     @settings(max_examples=30)

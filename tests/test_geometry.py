@@ -19,6 +19,14 @@ from higgsmoduli.geometry import (
 )
 
 
+def hitchin_base_dim_by_terms(r, g, reduced):
+    """h^0 of K^i summed one term at a time, the oracle for the closed form."""
+    total = 0
+    for i in range(2 if reduced else 1, r + 1):
+        total += g if i == 1 else (2 * i - 1) * (g - 1)
+    return total
+
+
 class TestModuliParams:
     def test_group_normalized(self):
         assert ModuliParams(2, 1, 2, group="sl").group == "SL"
@@ -73,6 +81,18 @@ class TestHitchinBase:
     def test_rank_one(self):
         assert hitchin_base_dim(1, 5) == 5  # H^0 of the canonical bundle
         assert hitchin_base_dim(1, 5, reduced=True) == 0
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_closed_form_matches_term_sum(self, reduced):
+        for r in range(1, 41):
+            for g in range(2, 13):
+                assert hitchin_base_dim(r, g, reduced) == hitchin_base_dim_by_terms(r, g, reduced)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            hitchin_base_dim(0, 2)
+        with pytest.raises(ValueError):
+            hitchin_base_dim(2, 1)
 
     def test_half_dimension_identity(self):
         # full base: g + sum_{i>=2} (2i-1)(g-1) = (g-1)r^2 + 1 = dim GL Higgs / 2
