@@ -4,9 +4,10 @@ Topological mirror symmetry in rank 2
 
 The variant E-polynomial of the SL side against the gamma-twisted stringy
 E-polynomial of the PGL side, element by element over the 2-torsion group.
-The left side is a single signed Hodge sum; the right side averages the
-Prym E-polynomials against Weil-pairing signs, so the two sides agree for
-no shallow reason.
+The left side is the dual of the variant Hodge classes of the fixed loci
+of the circle action, the same classes the Higgs Betti numbers count; the
+right side averages the Prym E-polynomials against Weil-pairing signs, so
+the two sides agree for no shallow reason.
 """
 
 from higgsmoduli import (

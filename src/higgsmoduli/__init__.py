@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "higgs": (
         "DegreeOverflow", "bb_codimension", "fixed_locus_poincare",
-        "poincare_M_closed", "poincare_M_stratified",
+        "poincare_M_closed", "poincare_M_stratified", "variant_hodge_numbers",
     ),
     "mirror": (
         "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",

@@ -29,7 +29,6 @@ degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 from __future__ import annotations
 
 from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand
-from .geometry import hn_codim_rank2
 
 __all__ = [
     "poincare_N_closed",
@@ -97,6 +96,12 @@ def _working_order(g: int, order: int | None) -> int:
 
 
 def _strata_codims(g: int, window: int) -> list[int]:
+    # Imported here, at its only use, so that the closed forms, the Higgs
+    # pipelines and the mirror (which imports higgs, which imports this
+    # module) do not load geometry.  The import reads the module attribute at
+    # each call, so a wrapper installed on geometry.hn_codim_rank2 is called.
+    from .geometry import hn_codim_rank2
+
     codims = []
     k = 1
     while hn_codim_rank2(g, k) < window:

@@ -29,6 +29,14 @@ class IncompatibleTypes(ValueError):
 _GROUPS = ("GL", "SL", "PGL")
 
 
+def _check_rank_genus(r: int, g: int) -> None:
+    """The domain of every formula here: positive rank, genus at least 2."""
+    if r < 1:
+        raise ValueError("rank must be positive")
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+
+
 class ModuliParams(Record):
     """
     The numerical parameters (rank, degree, genus, structure group) that
@@ -43,10 +51,7 @@ class ModuliParams(Record):
     __slots__ = _fields = ("r", "d", "g", "group")
 
     def __init__(self, r: int, d: int, g: int, group: str = "SL"):
-        if r < 1:
-            raise ValueError("rank must be positive")
-        if g < 2:
-            raise ValueError("genus must be at least 2")
+        _check_rank_genus(r, g)
         if group.upper() not in _GROUPS:
             raise UnsupportedCombination(f"unknown structure group {group!r}")
         super().__init__(r, d, g, group.upper())
@@ -99,10 +104,7 @@ def hitchin_base_dim(r: int, g: int, reduced: bool = False) -> int:
     (g-1)(r^2-1), plus g for the unreduced base: half the dimension of the
     corresponding Higgs moduli space.
     """
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_rank_genus(r, g)
     return (g - 1) * (r * r - 1) + (0 if reduced else g)
 
 
@@ -123,10 +125,7 @@ def spectral_numbers(r: int, g: int, d: int) -> SpectralNumbers:
     Grothendieck-Riemann-Roch, deg L + (1 - g(Y)) - r(1 - g); solving for
     deg L with prescribed pushforward degree d gives the shift delta.
     """
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_rank_genus(r, g)
     ram = 2 * r * (r - 1) * (g - 1)
     gy = r * r * (g - 1) + 1
     delta = d - (1 - gy) + r * (1 - g)
@@ -139,10 +138,7 @@ def hilbert_poly(r: int, d: int, g: int, n: int) -> int:
     rank r and degree d on a genus-g curve (Riemann-Roch; the twist by O(n)
     adds rn to the degree).
     """
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    _check_rank_genus(r, g)
     return d + r * (n + 1 - g)
 
 

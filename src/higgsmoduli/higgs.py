@@ -17,11 +17,18 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
   The Poincare polynomial of F_k splits into the part pulled back from the
   symmetric product (Macdonald's formula) plus the classes of the
   (2^(2g) - 1) nontrivial cover sectors.  Those classes span the kbar-th
-  exterior power of the first cohomology of a 2-torsion local system, a
-  space of dimension C(2g-2, kbar) concentrated in cohomological degree
-  kbar, so they enter with weight t^kbar.  The count is sometimes stated
-  without that weight; the weight is forced by where the classes live, and
-  only with it does the stratified sum reproduce the closed form below.
+  exterior power of the first cohomology of a 2-torsion local system, of
+  Hodge numbers h^(p, kbar-p) = C(g-1, p) C(g-1, kbar-p) and total dimension
+  C(2g-2, kbar), concentrated in cohomological degree kbar, so they enter
+  with weight t^kbar.  The count is sometimes stated without that weight;
+  the weight is forced by where the classes live, and only with it does the
+  stratified sum reproduce the closed form below.
+
+  variant_hodge_numbers is the one table of these classes.  It has two
+  readers: fixed_locus_poincare sums it into the cover term (u = v = t), and
+  the mirror module dualises it, at the codimensions of bb_codimension, into
+  the left side of the mirror identity.  An error in either function
+  therefore reaches both checks.
 
 * Hitchin's closed form: four terms, three of them infinite series over
   the Harder-Narasimhan denominator (1-t^2)(1-t^4) whose sum is a
@@ -30,13 +37,14 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
 """
 from __future__ import annotations
 
-from math import comb
+import functools
 
 from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, _check_genus, poincare_N_closed
 from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div
 
 __all__ = [
     "DegreeOverflow",
+    "variant_hodge_numbers",
     "fixed_locus_poincare",
     "bb_codimension",
     "poincare_M_stratified",
@@ -48,22 +56,49 @@ class DegreeOverflow(ArithmeticError):
     """A stratum contribution exceeded the middle-dimension degree bound."""
 
 
-def _check_stratum(g: int, k: int) -> None:
-    """Nontrivial fixed loci are indexed by k = 1 .. g-1."""
+def _check_stratum(g: int, k: int) -> int:
+    """Nontrivial fixed loci are indexed by k = 1 .. g-1; returns kbar = 2g - 2k - 1."""
     _check_genus(g)
     if not 1 <= k <= g - 1:
         raise ValueError(f"k must lie in 1 .. {g - 1}")
+    return 2 * g - 2 * k - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _binomial_row(g: int) -> tuple[int, ...]:
+    """
+    C(g-1, c) for c = 0 .. 2g-3: the coefficients of (1+t)^(g-1), padded
+    with zeros so that every index kbar - p of variant_hodge_numbers reads
+    it.  One row serves the g - 1 fixed loci of a genus.
+    """
+    return (_ONE_PLUS_T ** (g - 1)).coeffs + (0,) * (g - 2)
+
+
+def variant_hodge_numbers(g: int, k: int) -> list[int]:
+    """
+    The Hodge numbers h^(p, kbar-p) = C(g-1, p) C(g-1, kbar-p), p = 0 .. kbar,
+    of the classes one nontrivial cover sector of F_k adds: the kbar-th
+    exterior power of H^1 of a 2-torsion local system, whose Hodge numbers
+    are those of a (g-1)-dimensional abelian variety.  The list sums to
+    C(2g-2, kbar) and reads the same backwards.
+
+    >>> variant_hodge_numbers(3, 1)
+    [0, 2, 2, 0]
+    """
+    kbar = _check_stratum(g, k)
+    row = _binomial_row(g)
+    return [row[p] * row[kbar - p] for p in range(kbar + 1)]
 
 
 def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     """
     Poincare polynomial of the fixed locus F_k:
-    P_t(S^kbar X) + (2^(2g) - 1) C(2g-2, kbar) t^kbar, with
-    kbar = 2g - 2k - 1 an odd number between 1 and 2g - 3.
+    P_t(S^kbar X) + (2^(2g) - 1) t^kbar sum_p h^(p, kbar-p), with
+    kbar = 2g - 2k - 1 an odd number between 1 and 2g - 3: the cover term
+    is the table of variant_hodge_numbers at u = v = t.
     """
-    _check_stratum(g, k)
-    kbar = 2 * g - 2 * k - 1
-    covers = (2 ** (2 * g) - 1) * comb(2 * g - 2, kbar)
+    kbar = _check_stratum(g, k)
+    covers = (2 ** (2 * g) - 1) * sum(variant_hodge_numbers(g, k))
     return coeff_extract_x(g, kbar) + IntPoly.monomial(kbar, covers)
 
 

@@ -10,9 +10,11 @@ to this one, and nothing below uses more than that.
 The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 
 * the variant part of the E-polynomial of the SL_2 Higgs moduli space for a
-  nontrivial character kappa, assembled from the Hodge numbers
-  h^(p,q) = C(g-1, p) C(g-1, q) of the exterior powers of H^1 of a
-  2-torsion local system, over odd p+q, with the uniform weight (uv)^(3g-3);
+  nontrivial character kappa.  It lives on the fixed loci F_k of the circle
+  action, and is read from the same table the Betti pipeline uses:
+  higgs.variant_hodge_numbers gives the variant Hodge numbers of F_k and
+  higgs.bb_codimension where F_k is attached.  The compactly supported
+  E-polynomial is the dual (uv)^(6g-6) E(1/u, 1/v) of those classes;
 
 * the gamma-sector of the stringy E-polynomial of the PGL_2 space: the
   Prym-variety E-polynomial averaged against the Weil pairing over all of
@@ -20,17 +22,18 @@ The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
   (uv)^(F) with fermionic shift F = 2g - 2.
 
 Both sides carry the E-polynomial sign convention, which weights the
-monomial u^p v^q by (-1)^(p+q); concretely the sign arrives here as the
-substitution (u, v) -> (-u, -v) on the bare Hodge sums.
+monomial u^p v^q by (-1)^(p+q); concretely the sign arrives on the left as
+(-1)^(p+q) on each class of type (p, q), and on the right as the
+substitution (u, v) -> (-u, -v) on the bare Hodge sum.
 
 The right-hand average depends on gamma only through the count
 N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
 off the pairing itself, never a closed form, so the right side stays an
-independent oracle for the closed form on the left.  For a pairing bilinear
-in its second argument, w(gamma, -) is a character of GF(2)^(2g), fixed by
-its row on the 2g basis vectors: a nonzero row is a nontrivial character,
--1 on exactly half the group, so N_-(gamma) = 2^(2g-1), and a zero row
-gives N_-(gamma) = 0.  Reading the row is O(g) pairings per gamma.  The
+independent oracle for the fixed-locus classes on the left.  For a pairing
+bilinear in its second argument, w(gamma, -) is a character of GF(2)^(2g),
+fixed by its row on the 2g basis vectors: a nonzero row is a nontrivial
+character, -1 on exactly half the group, so N_-(gamma) = 2^(2g-1), and a
+zero row gives N_-(gamma) = 0.  Reading the row is O(g) pairings per gamma.  The
 sweep checks that the pairing is alternating, w(gamma, gamma) = 1, for every
 gamma it reads.  An exhaustive sweep visits 4^g - 1 elements, so the right
 side is computed only up to genus MAX_GENUS; larger genera are rejected with
@@ -38,8 +41,9 @@ ValueError.
 """
 from __future__ import annotations
 
-from math import comb
+from collections import defaultdict
 
+from . import higgs
 from ._record import Record
 from .exactpoly import BivarPoly, bivar_eval_signed_binomial
 
@@ -167,19 +171,26 @@ def fermionic_shift(g: int) -> int:
 def e_poly_kappa_lhs(g: int) -> BivarPoly:
     """
     The variant E-polynomial for any nontrivial character kappa (the result
-    is the same for all of them):
+    is the same for all of them): the dual (uv)^(6g-6) E(1/u, 1/v) of the
+    variant classes of the fixed loci F_k, k = 1 .. g-1.  A class of Hodge
+    type (p, q) on F_k, with E-sign (-1)^(p+q), attached at complex
+    codimension c = bb_codimension(g, k) / 2, lands on
+    u^(6g-6-c-p) v^(6g-6-c-q).
 
-        (uv)^(3g-3) sum over odd p+q of (-1)^(p+q) C(g-1,p) C(g-1,q) u^p v^q
-      = (1/2) (uv)^(3g-3) [(1-u)^(g-1) (1-v)^(g-1) - (1+u)^(g-1) (1+v)^(g-1)].
+    Both functions are read through the higgs module at call time, so the
+    mirror check sees exactly the geometry the Betti pipeline uses.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    coeffs = {}
-    for p in range(g):
-        for q in range(g):
-            if (p + q) % 2 == 1:
-                coeffs[(p, q)] = -comb(g - 1, p) * comb(g - 1, q)
-    return BivarPoly(coeffs).shift_uv(3 * g - 3)
+    higgs._check_genus(g)
+    # Two strata put classes on one monomial only if their codimensions are
+    # wrong; the dual is still the sum, so the classes add.
+    coeffs = defaultdict(int)
+    for k in range(1, g):
+        top = 6 * g - 6 - higgs.bb_codimension(g, k) // 2
+        hodge = higgs.variant_hodge_numbers(g, k)
+        for p, h in enumerate(hodge):
+            q = len(hodge) - 1 - p
+            coeffs[(top - p, top - q)] += (-1) ** (p + q) * h
+    return BivarPoly(coeffs)
 
 
 def _minus_counts(g: int, gammas):
@@ -202,8 +213,7 @@ def _minus_counts(g: int, gammas):
 
 def _check_genus(g: int) -> None:
     """The right side is computed for 2 <= g <= MAX_GENUS only."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    higgs._check_genus(g)
     if g > MAX_GENUS:
         raise ValueError(f"genus must be at most {MAX_GENUS} for the mirror check, got {g}")
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from higgsmoduli import higgs
 from higgsmoduli.bundles import poincare_N_closed
-from higgsmoduli.exactpoly import IntPoly
+from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
 from higgsmoduli.higgs import (
     DegreeOverflow,
     bb_codimension,
     fixed_locus_poincare,
     poincare_M_closed,
     poincare_M_stratified,
+    variant_hodge_numbers,
 )
 
 M_G2 = IntPoly([1, 0, 1, 4, 2, 34, 2])
@@ -71,6 +72,37 @@ class TestFixedLoci:
         kbar = 2 * g - 2 * k - 1
         assert p.degree() == 2 * kbar
         assert p.is_palindromic()
+
+
+class TestVariantHodgeNumbers:
+    """The one table of the cover sectors' classes, read by the cover term and the mirror."""
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_cover_term_is_the_sector_count_times_the_exterior_power(self, g):
+        for k in range(1, g):
+            kbar = 2 * g - 2 * k - 1
+            cover = fixed_locus_poincare(g, k) - coeff_extract_x(g, kbar)
+            assert cover == IntPoly.monomial(kbar, (4**g - 1) * math.comb(2 * g - 2, kbar))
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_each_list_sums_to_the_dimension_and_is_symmetric(self, g):
+        for k in range(1, g):
+            kbar = 2 * g - 2 * k - 1
+            hodge = variant_hodge_numbers(g, k)
+            assert len(hodge) == kbar + 1
+            assert sum(hodge) == math.comb(2 * g - 2, kbar)
+            assert hodge == hodge[::-1]
+
+    def test_entries_are_products_of_binomials(self):
+        g, k = 5, 1
+        kbar = 2 * g - 2 * k - 1
+        expected = [math.comb(g - 1, p) * math.comb(g - 1, kbar - p) for p in range(kbar + 1)]
+        assert variant_hodge_numbers(g, k) == expected
+
+    def test_invalid(self):
+        for g, k in [(2, 0), (2, 2), (1, 1)]:
+            with pytest.raises(ValueError):
+                variant_hodge_numbers(g, k)
 
 
 class TestCodimension:

@@ -1,5 +1,6 @@
-"""Rank-2 topological mirror symmetry: Hodge sum vs Weil-pairing average."""
+"""Rank-2 topological mirror symmetry: fixed-locus classes vs Weil-pairing average."""
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import higgsmoduli.mirror as mirror_mod
+from higgsmoduli import cli, higgs
 from higgsmoduli.exactpoly import BivarPoly, bivar_eval_signed_binomial
 from higgsmoduli.mirror import (
     Gamma2Element,
@@ -141,6 +143,87 @@ class TestLhs:
             for (p, q), c in e_poly_kappa_lhs(g).monomials():
                 assert (p + q) % 2 == 1
                 assert c != 0
+
+
+def hand_written_lhs(g):
+    """The left side as a direct sum: (uv)^(3g-3) times -C(g-1,p) C(g-1,q) u^p v^q over odd p+q."""
+    coeffs = {}
+    for p in range(g):
+        for q in range(g):
+            if (p + q) % 2 == 1:
+                coeffs[(p, q)] = -math.comb(g - 1, p) * math.comb(g - 1, q)
+    return BivarPoly(coeffs).shift_uv(3 * g - 3)
+
+
+def pascal_row(sign, n):
+    """Coefficients of (1 + sign t)^n, by Pascal's rule."""
+    row = [1]
+    for _ in range(n):
+        row = [a + sign * b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
+def half_difference_lhs(g):
+    """(1/2) (uv)^(3g-3) [(1-u)^(g-1) (1-v)^(g-1) - (1+u)^(g-1) (1+v)^(g-1)]."""
+    minus, plus = pascal_row(-1, g - 1), pascal_row(1, g - 1)
+    coeffs = {}
+    for p in range(g):
+        for q in range(g):
+            twice = minus[p] * minus[q] - plus[p] * plus[q]
+            assert twice % 2 == 0
+            coeffs[(p + 3 * g - 3, q + 3 * g - 3)] = twice // 2
+    return BivarPoly(coeffs)
+
+
+def shifted_first_codimension(monkeypatch):
+    """Mutant: the stratum over F_1 attached two real dimensions too deep."""
+    original = higgs.bb_codimension
+    monkeypatch.setattr(higgs, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
+
+
+def moved_hodge_unit(monkeypatch):
+    """Mutant: one class of type (kbar, 0) moved to type (0, kbar); every sum is kept."""
+    original = higgs.variant_hodge_numbers
+
+    def moved(g, k):
+        hodge = original(g, k)
+        hodge[0] += 1
+        hodge[-1] -= 1
+        return hodge
+
+    monkeypatch.setattr(higgs, "variant_hodge_numbers", moved)
+
+
+class TestLhsFromFixedLoci:
+    """The left side is the dual of the variant classes that the Betti pipeline adds."""
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_matches_the_hand_written_sum(self, g):
+        assert e_poly_kappa_lhs(g) == hand_written_lhs(g)
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_matches_the_closed_form(self, g):
+        assert e_poly_kappa_lhs(g) == half_difference_lhs(g)
+
+    def test_genus_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            e_poly_kappa_lhs(1)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_shifted_codimension_fails_both_routes(self, g, monkeypatch, capsys):
+        shifted_first_codimension(monkeypatch)
+        with pytest.raises(IdentityViolation):
+            mirror_verify(g)
+        assert cli.run(["mirror", "--genus", str(g)]) == 1
+        assert cli.run(["poincare", "--space", "higgs", "--genus", str(g)]) == 1
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_moved_hodge_type_fails_only_the_mirror(self, g, monkeypatch, capsys):
+        # Betti numbers see only p + q, so only the mirror check can catch this
+        moved_hodge_unit(monkeypatch)
+        with pytest.raises(IdentityViolation):
+            mirror_verify(g)
+        assert cli.run(["poincare", "--space", "higgs", "--genus", str(g), "--via", "both"]) == 0
 
 
 class TestPrym:

@@ -10,6 +10,7 @@ import pytest
 
 import higgsmoduli
 import higgsmoduli.exactpoly
+import higgsmoduli.higgs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
@@ -47,6 +48,21 @@ def test_light_call_loads_only_its_layer(argv, layer):
     assert "higgsmoduli.exactpoly" not in modules
     assert "higgsmoduli.mirror" not in modules
     assert modules & HEAVY == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loads_geometry",
+    [
+        (["mirror", "--genus", "2"], False),
+        (["poincare", "--space", "higgs", "--genus", "3"], False),
+        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "recursion"], True),
+    ],
+    ids=["mirror", "higgs", "recursion"],
+)
+def test_geometry_loads_only_for_the_recursion(argv, loads_geometry):
+    # only the Atiyah-Bott recursion reads geometry (hn_codim_rank2)
+    modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 0")
+    assert ("higgsmoduli.geometry" in modules) == loads_geometry
 
 
 def test_value_above_a_cap_is_rejected_before_any_layer_loads():
@@ -87,3 +103,9 @@ def test_exactpoly_doctests():
     results = doctest.testmod(higgsmoduli.exactpoly)
     assert results.failed == 0
     assert results.attempted >= 7
+
+
+def test_higgs_doctests():
+    results = doctest.testmod(higgsmoduli.higgs)
+    assert results.failed == 0
+    assert results.attempted >= 1
