@@ -4,7 +4,7 @@ Exact topological invariants of rank-2 moduli spaces over a genus-g curve.
 Everything is computed in exact integer (or rational) arithmetic: Poincare
 polynomials of the moduli spaces of stable bundles and of Higgs bundles,
 each by two independent pipelines; the rank-2 topological mirror-symmetry
-identity between E-polynomials, checked element by element; dimension and
+identity between E-polynomials, checked on every group element; dimension and
 spectral-curve numerology; and a combinatorial GIT stability toolkit.
 
 Every public name below resolves lazily, on first use, so importing the
@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "mirror": (
         "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
-        "PairingNotAlternating", "TrivialElement", "e_poly_kappa_lhs", "e_poly_rhs",
-        "fermionic_shift", "mirror_verify", "weil_pairing",
+        "PairingNotAlternating", "PairingNotBilinear", "TrivialElement", "e_poly_kappa_lhs",
+        "e_poly_rhs", "fermionic_shift", "mirror_verify", "weil_pairing",
     ),
     "geometry": (
         "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",

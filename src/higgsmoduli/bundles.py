@@ -103,10 +103,10 @@ def _strata_codims(g: int, window: int) -> list[int]:
     from .geometry import hn_codim_rank2
 
     codims = []
-    k = 1
-    while hn_codim_rank2(g, k) < window:
-        codims.append(hn_codim_rank2(g, k))
-        k += 1
+    codim = hn_codim_rank2(g, 1)
+    while codim < window:
+        codims.append(codim)
+        codim = hn_codim_rank2(g, len(codims) + 1)
     return codims
 
 

@@ -6,8 +6,8 @@ or LaTeX.  Exit codes are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
-        identity violation, a Weil pairing that is not alternating,
-        internal consistency assertion)
+        identity violation, a Weil pairing that is not alternating or
+        not bilinear, internal consistency assertion)
     2   invalid input (bad flags, out-of-range parameters, a value above
         its stated cap), or an input too large to compute (MemoryError,
         RecursionError)

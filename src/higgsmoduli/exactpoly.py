@@ -39,7 +39,6 @@ NonDivisible instead of returning an approximation.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from math import comb
 
@@ -405,11 +404,11 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     0 <= c <= min(j, 2n - j, 2g).  With top = min(2g, n), these sums rise
     through the prefix sums of the binomial row for j <= top, alternate
     between the last two of them on the plateau top < j < 2n - top, and
-    mirror the rise for j >= 2n - top.  The parity prefix sums of the whole
-    row, 2g + 1 of them whatever n is, are built once per genus, so
-    consecutive calls at one genus (the fixed loci of one Higgs moduli space)
-    share them: O(n + g) exact integer steps for the first call and O(n)
-    list slicing for the next.
+    mirror the rise for j >= 2n - top.  The parity prefix sums are built only
+    up to top and kept for the genus of the last call, growing when a later
+    call needs more, so consecutive calls at one genus (the fixed loci of one
+    Higgs moduli space) share them: O(n + g) exact integer steps for the
+    first call and O(n) list slicing for the next.
 
     >>> coeff_extract_x(2, 1)
     IntPoly('1 + 4t + t^2')
@@ -417,7 +416,7 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
     top = min(2 * g, n)
-    rise = _parity_prefix(g)[:top + 1]
+    rise = _parity_prefix(g, top)[:top + 1]
     if top == n:
         return IntPoly._of_ints(rise + rise[-2::-1])
     # 2n - 2 top - 1 coefficients, odd in number, starting and ending one below top;
@@ -427,14 +426,22 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     return IntPoly._of_ints(rise + plateau + rise[::-1])
 
 
-@functools.lru_cache(maxsize=1)
-def _parity_prefix(g: int) -> list[int]:
-    """prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ... for c = 0 .. 2g."""
-    prefix: list[int] = []
-    binom = 1
-    for c in range(2 * g + 1):
+# The parity prefix sums of the binomial row C(2g, .) for the genus of the
+# last call only, as far along the row as any call at that genus has asked,
+# with the binomial coefficient that extends them.
+_PARITY_PREFIX: dict[int, tuple[list[int], int]] = {}
+
+
+def _parity_prefix(g: int, top: int) -> list[int]:
+    """prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ... for c = 0 .. top at least."""
+    prefix, binom = _PARITY_PREFIX.get(g, ([], 1))
+    if len(prefix) > top:
+        return prefix
+    for c in range(len(prefix), top + 1):
         prefix.append(binom + (prefix[c - 2] if c >= 2 else 0))
         binom = binom * (2 * g - c) // (c + 1)
+    _PARITY_PREFIX.clear()
+    _PARITY_PREFIX[g] = prefix, binom
     return prefix
 
 

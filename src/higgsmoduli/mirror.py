@@ -33,10 +33,21 @@ independent oracle for the fixed-locus classes on the left.  For a pairing
 bilinear in its second argument, w(gamma, -) is a character of GF(2)^(2g),
 fixed by its row on the 2g basis vectors: a nonzero row is a nontrivial
 character, -1 on exactly half the group, so N_-(gamma) = 2^(2g-1), and a
-zero row gives N_-(gamma) = 0.  Reading the row is O(g) pairings per gamma.  The
-sweep checks that the pairing is alternating, w(gamma, gamma) = 1, for every
-gamma it reads.  An exhaustive sweep visits 4^g - 1 elements, so the right
-side is computed only up to genus MAX_GENUS; larger genera are rejected with
+zero row gives N_-(gamma) = 0.  Reading the row is O(g) pairings per gamma.
+
+A sampled check sweeps its elements: it reads each gamma's row and checks
+that the pairing is alternating, w(gamma, gamma) = 1, for every gamma it
+reads.  The exhaustive check is a certificate over GF(2) instead, and it
+assumes one thing more than the sweep: that the pairing is linear in its
+first argument too.  Then every nonzero gamma has a nonzero row exactly when
+the 2g x 2g Gram matrix w(e_i, e_j) is nonsingular, and w(gamma, gamma) = 1
+for every gamma exactly when it does so on the elements of weight 1 and 2
+(the matrix is symmetric with zero diagonal).  Reading those takes O(g^2)
+pairings, and elimination on rows packed into ints O(g^2) word operations,
+where the sweep reads (4^g - 1)(2g + 1) pairings.  A singular matrix yields a
+kernel vector, whose zero row fails the identity; a kernel vector whose row
+is nonzero all the same raises PairingNotBilinear.  The right side is
+computed only up to genus MAX_GENUS; larger genera are rejected with
 ValueError.
 """
 from __future__ import annotations
@@ -53,6 +64,7 @@ __all__ = [
     "TrivialElement",
     "IdentityViolation",
     "PairingNotAlternating",
+    "PairingNotBilinear",
     "MirrorReport",
     "weil_pairing",
     "e_poly_kappa_lhs",
@@ -61,8 +73,8 @@ __all__ = [
     "mirror_verify",
 ]
 
-# The largest genus the right side is computed for; an exhaustive sweep
-# there checks 4^g - 1 elements, about a million.
+# The largest genus the right side is computed for; a sampled sweep there
+# may read up to 4^g - 2 elements, about a million.
 MAX_GENUS = 10
 
 
@@ -100,6 +112,19 @@ class PairingNotAlternating(ArithmeticError):
         super().__init__(
             f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
             f"w(gamma, gamma) is {value}, not 1; the pairing is not alternating"
+        )
+
+
+class PairingNotBilinear(ArithmeticError):
+    """A Gram kernel vector with a nonzero row: w is not linear in its first argument."""
+
+    def __init__(self, genus, gamma_bits):
+        self.genus = genus
+        self.gamma_bits = gamma_bits
+        super().__init__(
+            f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
+            "the basis rows it combines sum to zero, but its own row is not zero; "
+            "the pairing is not linear in its first argument"
         )
 
 
@@ -211,6 +236,43 @@ def _minus_counts(g: int, gammas):
         yield gamma, half if any(weil_pairing(gamma, e) < 0 for e in basis) else 0
 
 
+def _certificate(g: int) -> Gamma2Element:
+    """
+    The one gamma whose check stands for all 4^g - 1, given a pairing linear
+    in its first argument: e_0 when the Gram matrix over GF(2) is
+    nonsingular, else its smallest nonzero kernel vector, the first gamma
+    the sweep would find with a zero row.  Raises PairingNotAlternating at
+    the first element of weight 1 or 2 with w(gamma, gamma) != 1, and
+    PairingNotBilinear at a kernel vector whose row is not zero.
+    """
+    n = 2 * g
+    for value in sorted((1 << i) | (1 << j) for i in range(n) for j in range(i + 1)):
+        gamma = Gamma2Element.from_int(value, g)
+        self_pairing = weil_pairing(gamma, gamma)
+        if self_pairing != 1:
+            raise PairingNotAlternating(g, gamma.bits, self_pairing)
+    basis = [Gamma2Element.from_int(1 << j, g) for j in range(n)]
+    rows = [sum(1 << j for j, e in enumerate(basis) if weil_pairing(a, e) < 0) for a in basis]
+    # Eliminate row by row, keeping which basis vectors each reduced row combines.
+    # The first row i to vanish gives a kernel vector with top bit i, and the
+    # only one: rows 0 .. i-1 are independent, so no kernel vector is smaller.
+    pivots = {}
+    for i, row in enumerate(rows):
+        combo = 1 << i
+        while row and row.bit_length() in pivots:
+            pivot_row, pivot_combo = pivots[row.bit_length()]
+            row ^= pivot_row
+            combo ^= pivot_combo
+        if row:
+            pivots[row.bit_length()] = row, combo
+            continue
+        gamma = Gamma2Element.from_int(combo, g)
+        if any(weil_pairing(gamma, e) < 0 for e in basis):
+            raise PairingNotBilinear(g, gamma.bits)
+        return gamma
+    return basis[0]
+
+
 def _check_genus(g: int) -> None:
     """The right side is computed for 2 <= g <= MAX_GENUS only."""
     higgs._check_genus(g)
@@ -264,36 +326,38 @@ class MirrorReport(Record):
 def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorReport:
     """
     Check e_poly_kappa_lhs(g) == e_poly_rhs(g, gamma) exactly, for every
-    nonzero gamma (sample=None) or for `sample` of them chosen with the
-    given seed.  Each count is read from gamma's row of the pairing; the
-    right side is built once per distinct N_-(gamma).  Returns a report on
-    success; raises IdentityViolation with the first differing coefficient
-    otherwise, PairingNotAlternating for a pairing the count cannot use, or
-    ValueError for g above MAX_GENUS.
+    nonzero gamma (sample=None, or a sample at least 4^g - 1) or for
+    `sample` of them chosen with the given seed.  The sampled check reads
+    each count from gamma's row of the pairing, and the right side is built
+    once per distinct N_-(gamma).  The exhaustive check certifies over GF(2)
+    that every count is the same, assuming the pairing is linear in its
+    first argument, and then checks the one gamma the certificate returns.
+    Returns a report on success; raises IdentityViolation with the first
+    differing coefficient otherwise, PairingNotAlternating or
+    PairingNotBilinear for a pairing the count cannot use, or ValueError
+    for g above MAX_GENUS.
     """
     _check_genus(g)
     population = (1 << (2 * g)) - 1
     if sample is None or sample >= population:
-        values = range(1, population + 1)
+        sample, gammas = population, [_certificate(g)]
     else:
         if sample < 1:
             raise ValueError("sample must be positive")
         import random
 
         values = random.Random(seed).sample(range(1, population + 1), sample)
+        gammas = (Gamma2Element.from_int(value, g) for value in values)
     lhs = e_poly_kappa_lhs(g)
     rhs_by_count = {}
     rhs = None
-    checked = 0
-    gammas = (Gamma2Element.from_int(value, g) for value in values)
     for gamma, minus in _minus_counts(g, gammas):
         rhs = rhs_by_count.get(minus)
         if rhs is None:
             rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
-        checked += 1
         if rhs != lhs:
             keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
             for key in keys:
                 if lhs.coefficient(*key) != rhs.coefficient(*key):
                     raise IdentityViolation(g, gamma.bits, key, lhs.coefficient(*key), rhs.coefficient(*key))
-    return MirrorReport(genus=g, elements_checked=checked, passed=True, lhs=lhs, rhs_sample=rhs)
+    return MirrorReport(genus=g, elements_checked=sample, passed=True, lhs=lhs, rhs_sample=rhs)

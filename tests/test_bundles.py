@@ -114,6 +114,24 @@ class TestRecursion:
         assert recursion_strata_count(10) < recursion_strata_count(40)
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_one_codimension_call_per_stratum(self, monkeypatch, g):
+        # one per kept stratum, plus the first one past the window
+        from higgsmoduli import geometry
+
+        codim = geometry.hn_codim_rank2
+        calls = 0
+
+        def counting(g, k):
+            nonlocal calls
+            calls += 1
+            return codim(g, k)
+
+        monkeypatch.setattr(geometry, "hn_codim_rank2", counting)
+        assert poincare_N_recursion(g) == poincare_N_closed(g)
+        made = calls  # read before recursion_strata_count adds its own calls
+        assert made == recursion_strata_count(g) + 1
+
 
 class TestTopologicalProperties:
     @given(st.integers(2, 7))

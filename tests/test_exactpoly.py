@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: polynomials, truncated series, bivariate polynomials."""
 import doctest
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,24 @@ class TestCoeffExtract:
         # the binomial row is cached for one genus at a time; switching genus must rebuild it
         calls = [(g, n) for n in (0, 3, 9, 11, 16) for g in (5, 7, 5)]
         assert [coeff_extract_x(g, n) for g, n in calls] == [macdonald_double_loop(g, n) for g, n in calls]
+
+    def test_interleaved_rising_and_falling_n_match_the_double_loop(self):
+        # the cached row of one genus grows when a later call needs more and is
+        # sliced when it needs less
+        calls = [(g, n) for n in (3, 16, 0, 11, 9, 21, 1) for g in (5, 7, 5)]
+        assert [coeff_extract_x(g, n) for g, n in calls] == [macdonald_double_loop(g, n) for g, n in calls]
+
+    def test_small_n_builds_only_the_head_of_the_row(self, monkeypatch):
+        # C(10000, 0..10000) would take about 12 MB; n = 1 needs two of its sums
+        monkeypatch.setattr(exactpoly, "_PARITY_PREFIX", {})
+        tracemalloc.start()
+        try:
+            poly = coeff_extract_x(5000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert poly == IntPoly([1, 10000, 1])
+        assert peak < 1024 * 1024, peak
 
     @given(st.integers(2, 5), st.integers(0, 6))
     @settings(max_examples=30)

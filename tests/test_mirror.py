@@ -16,6 +16,7 @@ from higgsmoduli.mirror import (
     LengthMismatch,
     MirrorReport,
     PairingNotAlternating,
+    PairingNotBilinear,
     TrivialElement,
     e_poly_kappa_lhs,
     e_poly_rhs,
@@ -379,6 +380,113 @@ class TestMirrorVerify:
             mirror_verify(2)
         err = exc_info.value
         assert err.lhs_coeff != err.rhs_coeff
+
+
+def sweep_outcome(g):
+    """The oracle: what the sweep over every nonzero gamma, in increasing order, raises where."""
+    lhs = e_poly_kappa_lhs(g)
+    gammas = (Gamma2Element.from_int(value, g) for value in range(1, 4**g))
+    try:
+        for gamma, minus in mirror_mod._minus_counts(g, gammas):
+            if mirror_mod._rhs_from_count(g, minus) != lhs:
+                return IdentityViolation, gamma.bits
+    except PairingNotAlternating as exc:
+        return PairingNotAlternating, exc.gamma_bits
+    return None, None
+
+
+def certificate_outcome(g):
+    try:
+        report = mirror_verify(g)
+    except (IdentityViolation, PairingNotAlternating, PairingNotBilinear) as exc:
+        return type(exc), exc.gamma_bits
+    assert report.elements_checked == 4**g - 1
+    return None, None
+
+
+def alternating_but_at_e012(a, b):
+    """The standard pairing, except w(gamma*, gamma*) = -1 at gamma* = e_0 + e_1 + e_2."""
+    if a.bits == b.bits == (1, 1, 1) + (0,) * (len(a.bits) - 3):
+        return -1
+    return weil_pairing(a, b)
+
+
+def not_symmetric(a, b):
+    """Bilinear, +1 on the diagonal, but w(e_0, e_1) = -1 and w(e_1, e_0) = 1: not alternating."""
+    return -weil_pairing(a, b) if a.bits[0] & b.bits[1] else weil_pairing(a, b)
+
+
+def e1_sent_to_e0(a, b):
+    """The standard form pulled back along e_1 -> e_0: alternating, with e_0 + e_1 in its kernel."""
+
+    def fold(x):
+        bits = list(x.bits)
+        bits[0], bits[1] = bits[0] ^ bits[1], 0
+        return Gamma2Element(bits)
+
+    return weil_pairing(fold(a), fold(b))
+
+
+def e1_copies_e0(a, b):
+    """The standard pairing, except that e_1's row is e_0's."""
+    if a == Gamma2Element.from_int(2, a.g):
+        a = Gamma2Element.from_int(1, a.g)
+    return weil_pairing(a, b)
+
+
+class TestCertificate:
+    """The exhaustive check certifies over GF(2) what the sweep reads gamma by gamma."""
+
+    MUTANTS = {
+        "standard": (None, None),
+        "fermionic_shift": ("fermionic_shift", lambda g: 2 * g - 1),
+        "constant": ("weil_pairing", lambda a, b: 1),
+        "first_pair_only": ("weil_pairing", first_pair_only),
+        "not_bilinear": ("weil_pairing", not_bilinear),
+        "not_symmetric": ("weil_pairing", not_symmetric),
+        "e1_sent_to_e0": ("weil_pairing", e1_sent_to_e0),
+    }
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_certificate_and_sweep_agree(self, mutant, g, monkeypatch):
+        name, value = self.MUTANTS[mutant]
+        if name:
+            monkeypatch.setattr(mirror_mod, name, value)
+        outcome = sweep_outcome(g)
+        assert certificate_outcome(g) == outcome
+        assert (outcome[0] is None) == (mutant == "standard")
+
+    def test_a_pairing_odd_on_one_weight_three_element_passes(self, monkeypatch):
+        # The stated gap: the certificate reads w(gamma, gamma) on weights 1 and 2
+        # only, which decides it everywhere for a pairing linear in its first
+        # argument.  This one is not, and only the sweep reads gamma* itself.
+        monkeypatch.setattr(mirror_mod, "weil_pairing", alternating_but_at_e012)
+        assert mirror_verify(3).passed
+        assert sweep_outcome(3) == (PairingNotAlternating, (1, 1, 1, 0, 0, 0))
+
+    def test_a_kernel_vector_with_a_nonzero_row_is_not_bilinear(self, monkeypatch, capsys):
+        # rows e_0 and e_1 agree, so e_0 + e_1 spans the kernel, yet it pairs
+        # as in the standard form
+        monkeypatch.setattr(mirror_mod, "weil_pairing", e1_copies_e0)
+        with pytest.raises(PairingNotBilinear) as exc_info:
+            mirror_verify(3)
+        assert exc_info.value.gamma_bits == (1, 1, 0, 0, 0, 0)
+        assert cli.run(["mirror", "--genus", "3"]) == 1
+        assert "not linear in its first argument" in capsys.readouterr().err
+
+    def test_pairing_calls_grow_as_g_squared(self, monkeypatch):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return weil_pairing(a, b)
+
+        monkeypatch.setattr(mirror_mod, "weil_pairing", counted)
+        report = mirror_verify(10)
+        assert report.passed and report.elements_checked == 4**10 - 1
+        assert calls < 1000
 
 
 class TestExponentBookkeeping:
