@@ -32,7 +32,7 @@ __all__ = ["build_parser", "run", "main"]
 EXHAUSTIVE_MIRROR_MAX_GENUS = 8
 DEFAULT_MIRROR_SAMPLE = 64
 # Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
-# takes about 2.6 s; macdonald at the caps prints about 2.6 MB.
+# takes about 2.3 s; macdonald at the caps prints about 2.6 MB.
 POINCARE_MAX_GENUS = 400
 MACDONALD_MAX_GENUS = 200
 MACDONALD_MAX_N = 10000
@@ -66,15 +66,18 @@ def _latex_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _output(fmt: str, plain: str, payload: dict, latex: str) -> None:
+def _output(fmt: str, plain, payload: dict, latex) -> None:
+    """
+    Print payload as JSON, or the plain or LaTeX text.  A text may be passed
+    as a function that builds it, so that a long one is built only if printed.
+    """
     if fmt == "json":
         import json
 
         print(json.dumps(payload, sort_keys=True))
-    elif fmt == "latex":
-        print(latex)
-    else:
-        print(plain)
+        return
+    text = latex if fmt == "latex" else plain
+    print(text() if callable(text) else text)
 
 
 def _cmd_poincare(args) -> int:
@@ -105,7 +108,7 @@ def _cmd_poincare(args) -> int:
             "via": args.via,
             "coeffs": poly.to_coeff_list(),
         }
-        _output(args.format, str(poly), payload, _latex(poly))
+        _output(args.format, lambda: str(poly), payload, lambda: _latex(poly))
         return 0
 
     (name_a, make_a), (name_b, make_b) = pipelines.items()
@@ -118,8 +121,8 @@ def _cmd_poincare(args) -> int:
             "agree": True,
             "coeffs": poly_a.to_coeff_list(),
         }
-        plain = f"{poly_a}\n{name_a} and {name_b} agree"
-        _output(args.format, plain, payload, _latex(poly_a))
+        _output(args.format, lambda: f"{poly_a}\n{name_a} and {name_b} agree", payload,
+                lambda: _latex(poly_a))
         return 0
     payload = {
         "space": args.space,
@@ -270,7 +273,7 @@ def _cmd_macdonald(args) -> int:
 
     poly = exactpoly.coeff_extract_x(args.genus, args.n)
     payload = {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}
-    _output(args.format, str(poly), payload, _latex(poly))
+    _output(args.format, lambda: str(poly), payload, lambda: _latex(poly))
     return 0
 
 

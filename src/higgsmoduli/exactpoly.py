@@ -14,27 +14,28 @@ the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
 binary operations keep the smaller of the two orders.
 
-Polynomial products use Kronecker substitution: both operands are evaluated
-at t = 2^k, with k a whole number of bytes wide enough for any coefficient of
-the product and its sign, so each evaluation is one Python int.  A single
-integer multiplication, for which CPython switches to Karatsuba at large
-sizes, then yields the product evaluated at 2^k, and offsetting every k-bit
-slot by 2^(k-1) lets one to_bytes call read the coefficients back.  The
-schoolbook double loop it replaces is kept in the test suite as the oracle it
-is checked against.
+Polynomial products walk the nonzero coefficients of the shorter operand and
+add each one's multiple of the longer operand into the result slice-wise, in
+O(nnz(shorter) len(longer)) steps.  Every product the pipelines make has a
+factor of at most five coefficients (the test suite pins this), so the cost
+is linear in the longer one.
 
 Powers use J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
-section 4.7) instead: q = p^n satisfies p q' = n p' q, which gives each
-coefficient of q from the ones below it through one division by k p_0.  The
-quotient is an integer because q has integer coefficients, so the division is
-exact; every step checks its remainder, and a nonzero one raises NonDivisible
-rather than being rounded.  For the sparse bases the pipelines raise to
-powers in the hundreds, this costs a few small-by-big multiplications per
-coefficient instead of squaring a packed integer of the power's full size.
+section 4.7): q = p^n satisfies p q' = n p' q, which gives each coefficient
+of q from the ones below it through one division by k p_0.  The quotient is
+an integer because q has integer coefficients, so the division is exact;
+every step checks its remainder, and a nonzero one raises NonDivisible rather
+than being rounded.  For the sparse bases the pipelines raise to powers in
+the hundreds, this costs a few small-by-big multiplications per coefficient.
 
 Exact division and series expansion share one convolution core that proceeds
 from the constant term upward (every denominator we meet is 1 + higher order
-terms, possibly times a power of t).  Division that leaves a remainder raises
+terms, possibly times a power of t).  Division proves its remainder zero
+without multiplying back.  Let q be the first c = deg(num) - deg(den) + 1
+coefficients of the series num/den.  The remainder r = num - q den has degree
+at most deg(num), and the series r/den is num/den with those c terms removed.
+If its coefficients of t^c .. t^(deg num) vanish, r is a multiple of
+t^(deg num + 1), so r = 0.  A division that leaves a remainder raises
 NonDivisible instead of returning an approximation.
 """
 from __future__ import annotations
@@ -183,16 +184,25 @@ class IntPoly(Record):
         return IntPoly._of_ints(-c for c in self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
+        """
+        The product, in O(nnz(shorter) len(longer)) steps.
+
+        Each nonzero coefficient b_j of the shorter operand adds b_j times the
+        longer operand into the slice of the result that starts at t^j.
+        """
         if isinstance(other, int):
             return IntPoly._of_ints(c * other for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return IntPoly()
-        # No coefficient of the product exceeds max|a| max|b| min(len a, len b).
-        width = _slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
-        packed = _pack(a, width)
-        product = packed * packed if other is self else packed * _pack(b, width)
-        return IntPoly._of_ints(_unpack(product, len(a) + len(b) - 1, width))
+        n = len(a)
+        out = [0] * (n + len(b) - 1)
+        for j, c in enumerate(b):
+            if c:
+                out[j:j + n] = map(operator.add, out[j:j + n], map(c.__mul__, a))
+        return IntPoly._of_ints(out)
 
     __rmul__ = __mul__
 
@@ -238,35 +248,6 @@ def _padded(p: IntPoly, other: int | IntPoly) -> tuple[tuple[int, ...], tuple[in
     """The coefficients of p and of other, both padded with zeros to one length."""
     a, b = p.coeffs, (other,) if isinstance(other, int) else other.coeffs
     return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per slot that hold any integer of magnitude <= bound, plus a sign bit."""
-    return bound.bit_length() // 8 + 1
-
-
-def _half_slots(count: int, width: int) -> int:
-    """2^(8 width - 1) in each of `count` slots: the offset that makes every slot nonnegative."""
-    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * count, "little")
-
-
-def _pack(coeffs, width: int) -> int:
-    """The polynomial evaluated at t = 2^(8 width), a signed Python int."""
-    half = 1 << (8 * width - 1)
-    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(packed, "little") - _half_slots(len(coeffs), width)
-
-
-def _unpack(value: int, count: int, width: int) -> list[int]:
-    """
-    Inverse of _pack for `count` coefficients, each of magnitude below 2^(8 width - 1).
-
-    Offsetting every slot by half its range removes all borrows, so one
-    to_bytes call splits the value into its coefficients in linear time.
-    """
-    half = 1 << (8 * width - 1)
-    buf = (value + _half_slots(count, width)).to_bytes(count * width, "little")
-    return [int.from_bytes(buf[i:i + width], "little") - half for i in range(0, len(buf), width)]
 
 
 class TruncSeries(Record):
@@ -351,6 +332,11 @@ def poly_exact_div(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
     """
     Divide exactly, raising NonDivisible if the quotient is not a polynomial.
 
+    Takes deg(num) + 1 coefficients of the series num/den, O(deg num deg den)
+    exact steps and no product: the first deg(num) - deg(den) + 1 are the
+    quotient, and the rest must vanish, which proves the remainder zero (see
+    the module docstring).
+
     >>> poly_exact_div(IntPoly([1, 0, 0, 0, -1]), IntPoly([1, 0, -1]))
     IntPoly('1 + t^2')
     >>> poly_exact_div(IntPoly([1, 1]), IntPoly([1, -1]))
@@ -372,10 +358,10 @@ def poly_exact_div(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
     count = numerator.degree() - denominator.degree() + 1
     if count <= 0:
         raise NonDivisible("numerator has lower degree than denominator")
-    quotient = IntPoly(_quotient_coeffs(numerator, denominator, count))
-    if quotient * denominator != numerator:
+    coeffs = _quotient_coeffs(numerator, denominator, numerator.degree() + 1)
+    if any(coeffs[count:]):
         raise NonDivisible("remainder is nonzero")
-    return quotient
+    return IntPoly._of_ints(coeffs[:count])
 
 
 def series_expand(numerator: IntPoly, denominator: IntPoly, order: int) -> TruncSeries:

@@ -52,6 +52,28 @@ def test_poly_display(coeffs, plain, latex):
     assert repr(poly) == f"IntPoly('{poly}')"
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poincare", "--space", "higgs", "--genus", "3"),
+        ("poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"),
+        ("macdonald", "--genus", "3", "--n", "3"),
+    ],
+    ids=["poincare-both", "poincare-one", "macdonald"],
+)
+def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, argv):
+    # the plain and LaTeX texts are built only for the format printed, which
+    # keeps them out of the peak memory of a JSON call at the genus cap
+    def refuse(poly):
+        raise AssertionError("a JSON call built a polynomial's text")
+
+    monkeypatch.setattr(IntPoly, "__str__", refuse)
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coeffs"]
+
+
 class TestPoincare:
     def test_vector_bundles_both_plain(self, capsys):
         code, out, _ = invoke(

@@ -4,10 +4,11 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import higgsmoduli.exactpoly as exactpoly
+from higgsmoduli.bundles import poincare_N_closed, poincare_N_recursion
 from higgsmoduli.exactpoly import (
     BivarPoly,
     IntPoly,
@@ -20,13 +21,14 @@ from higgsmoduli.exactpoly import (
     poly_exact_div,
     series_expand,
 )
+from higgsmoduli.higgs import poincare_M_closed, poincare_M_stratified
 
 ONE_PLUS_T = IntPoly([1, 1])
 ONE_MINUS_T = IntPoly([1, -1])
 
 
 def schoolbook(p, q):
-    """The quadratic product, kept here as the oracle for the packed one."""
+    """The dense double loop, kept here as the oracle for the sparse product."""
     if p.is_zero() or q.is_zero():
         return IntPoly()
     out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
@@ -133,7 +135,7 @@ class TestKroneckerProduct:
     @given(polys)
     @settings(max_examples=100)
     def test_square_matches_schoolbook(self, p):
-        # p * p packs its operand once
+        # both operands are one object
         assert p * p == schoolbook(p, p)
 
     @given(st.lists(coefficients, min_size=1, max_size=5).map(IntPoly), st.integers(0, 9))
@@ -162,7 +164,7 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
     def test_worst_carry(self, m, n):
         # every product coefficient sums min(i + 1, n) terms of magnitude m^2,
-        # and the middle one reaches the slot bound m * m * n exactly
+        # and the middle one reaches m * m * n, the most any coefficient can be
         for sign in (1, -1):
             p, q = IntPoly([sign * m] * n), IntPoly([m] * n)
             expected = schoolbook(p, q)
@@ -192,8 +194,26 @@ class TestKroneckerProduct:
         assert base**n == IntPoly([0] * (2 * n) + binomial_row(1, -3, 3, n))
 
     def test_pow_of_product_matches_product_of_pows(self):
-        # the left side is one recurrence on a four-term base, the right one Kronecker product
+        # the left side is one recurrence on a four-term base, the right one sparse product
         assert (ONE_PLUS_T * IntPoly([1, 0, 0, 1])) ** 800 == ONE_PLUS_T**800 * IntPoly([1, 0, 0, 1]) ** 800
+
+    @pytest.mark.parametrize("g", [2, 10, 48])
+    def test_pipeline_products_have_a_short_factor(self, g, monkeypatch):
+        # the product costs nnz(shorter) * len(longer) steps, which is linear
+        # only because every product the four pipelines make has a short factor
+        shorter = []
+        mul = IntPoly.__mul__
+
+        def recording(p, q):
+            if isinstance(q, IntPoly):
+                shorter.append(min(len(p.coeffs), len(q.coeffs)))
+            return mul(p, q)
+
+        monkeypatch.setattr(IntPoly, "__mul__", recording)
+        monkeypatch.setattr(IntPoly, "__rmul__", recording)
+        for pipeline in (poincare_N_closed, poincare_N_recursion, poincare_M_closed, poincare_M_stratified):
+            pipeline(g)
+        assert shorter and max(shorter) <= 5, max(shorter)
 
 
 class TestPolyExactDiv:
@@ -233,6 +253,22 @@ class TestPolyExactDiv:
         if pb.is_zero():
             return
         assert poly_exact_div(pa * pb, pb) == pa
+
+    @given(
+        polys,
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        st.lists(coefficients, min_size=1, max_size=5),
+    )
+    @settings(max_examples=200)
+    def test_remainder_only_the_top_coefficients_reveal(self, pa, b0, tail, r):
+        # with a unit constant term every step divides exactly, so only the
+        # vanishing of the series past the quotient can reject a + r / b
+        pb = IntPoly([b0] + tail)
+        pr = IntPoly(r).truncate(pb.degree())
+        assume(not pa.is_zero() and pb.degree() >= 1 and not pr.is_zero())
+        with pytest.raises(NonDivisible, match="remainder is nonzero"):
+            poly_exact_div(schoolbook(pa, pb) + pr, pb)
 
 
 class TestTruncSeries:
