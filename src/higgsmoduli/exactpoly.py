@@ -442,11 +442,9 @@ def bivar_eval_signed_binomial(g: int, sign_u: int, sign_v: int) -> BivarPoly:
         raise ValueError("g must be at least 2")
     if sign_u not in (1, -1) or sign_v not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    coeffs = {}
-    for p in range(g):
-        for q in range(g):
-            coeffs[(p, q)] = comb(g - 1, p) * comb(g - 1, q) * sign_u**p * sign_v**q
-    return BivarPoly(coeffs)
+    row = [comb(g - 1, p) for p in range(g)]
+    return BivarPoly({(p, q): a * b * sign_u**p * sign_v**q
+                      for p, a in enumerate(row) for q, b in enumerate(row)})
 
 
 class BivarPoly(Record):

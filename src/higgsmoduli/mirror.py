@@ -2,10 +2,11 @@
 The rank-2 topological mirror symmetry identity, checked exactly.
 
 For a genus-g curve, write Gamma = Jac(X)[2], a group of order 2^(2g)
-modeled here as bit vectors of length 2g.  The Weil pairing on Gamma,
-induced by Poincare duality, is the standard symplectic form over GF(2):
-bit i pairs with bit g+i.  Any nondegenerate alternating form is equivalent
-to this one, and nothing below uses more than that.
+modeled here as bit vectors of length 2g, each held as two g-bit integers.
+The Weil pairing on Gamma, induced by Poincare duality, is the standard
+symplectic form over GF(2): bit i pairs with bit g+i.  Any nondegenerate
+alternating form is equivalent to this one, and nothing below uses more
+than that.
 
 The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 
@@ -44,11 +45,12 @@ the 2g x 2g Gram matrix w(e_i, e_j) is nonsingular, and w(gamma, gamma) = 1
 for every gamma exactly when it does so on the elements of weight 1 and 2
 (the matrix is symmetric with zero diagonal).  Reading those takes O(g^2)
 pairings, and elimination on rows packed into ints O(g^2) word operations,
-where the sweep reads (4^g - 1)(2g + 1) pairings.  A singular matrix yields a
-kernel vector, whose zero row fails the identity; a kernel vector whose row
-is nonzero all the same raises PairingNotBilinear.  The right side is
-computed only up to genus MAX_GENUS; larger genera are rejected with
-ValueError.
+where the sweep reads (4^g - 1)(2g + 1) pairings; the certificate builds
+each element it reads from an int in O(1) word operations.  A singular
+matrix yields a kernel vector, whose zero row fails the identity; a kernel
+vector whose row is nonzero all the same raises PairingNotBilinear.  The
+right side is computed only up to genus MAX_GENUS; larger genera are
+rejected with ValueError.
 """
 from __future__ import annotations
 
@@ -131,12 +133,20 @@ class PairingNotBilinear(ArithmeticError):
 class Gamma2Element(Record):
     """
     An element of Gamma = Jac(X)[2] as a bit vector of length 2g.  The group
-    law is componentwise addition mod 2.  Packed integer halves are cached
-    so the pairing is a few word operations; they stay out of equality,
-    hashing and repr.
+    law is componentwise addition mod 2.  It is stored as its genus and two
+    packed halves, bit i of `bits` in bit i of the low half and bit g + i in
+    bit i of the high half, so building, adding and pairing elements take a
+    few word operations; `bits` is read from the halves, and equality,
+    hashing and repr go by `bits` alone.
+
+    >>> e = Gamma2Element.from_int(0b1101, 2)
+    >>> e.bits
+    (1, 0, 1, 1)
+    >>> e == Gamma2Element((1, 0, 1, 1))
+    True
     """
 
-    __slots__ = ("bits", "_lo", "_hi")
+    __slots__ = ("g", "_lo", "_hi")
     _fields = ("bits",)
 
     def __init__(self, bits):
@@ -146,15 +156,19 @@ class Gamma2Element(Record):
         if any(b not in (0, 1) for b in bits):
             raise ValueError("entries must be 0 or 1")
         g = len(bits) // 2
-        lo = sum(bits[i] << i for i in range(g))
-        hi = sum(bits[g + i] << i for i in range(g))
-        object.__setattr__(self, "bits", bits)
+        value = sum(b << i for i, b in enumerate(bits))
+        self._fill(g, value & ((1 << g) - 1), value >> g)
+
+    def _fill(self, g: int, lo: int, hi: int) -> Gamma2Element:
+        """Set the genus and the packed halves, unchecked; every element is built here."""
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
+        return self
 
     @property
-    def g(self) -> int:
-        return len(self.bits) // 2
+    def bits(self) -> tuple[int, ...]:
+        return tuple((half >> i) & 1 for half in (self._lo, self._hi) for i in range(self.g))
 
     def is_zero(self) -> bool:
         return self._lo == 0 and self._hi == 0
@@ -163,12 +177,13 @@ class Gamma2Element(Record):
     def from_int(cls, value: int, g: int) -> Gamma2Element:
         if not 0 <= value < 1 << (2 * g):
             raise ValueError("value out of range")
-        return cls(tuple((value >> i) & 1 for i in range(2 * g)))
+        return object.__new__(cls)._fill(g, value & ((1 << g) - 1), value >> g)
 
     def __add__(self, other: Gamma2Element) -> Gamma2Element:
-        if len(self.bits) != len(other.bits):
+        if self.g != other.g:
             raise LengthMismatch("elements live in different groups")
-        return Gamma2Element(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        total = object.__new__(Gamma2Element)
+        return total._fill(self.g, self._lo ^ other._lo, self._hi ^ other._hi)
 
 
 def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
@@ -176,7 +191,7 @@ def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
     The symplectic pairing w(a, b) = (-1)^(sum_i a_i b_(g+i) + a_(g+i) b_i),
     valued in {+1, -1}.  Bilinear, alternating, nondegenerate.
     """
-    if len(a.bits) != len(b.bits):
+    if a.g != b.g:
         raise LengthMismatch("elements live in different groups")
     parity = ((a._lo & b._hi) ^ (a._hi & b._lo)).bit_count() & 1
     return -1 if parity else 1
@@ -308,7 +323,7 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
     """
     _check_genus(g)
     if gamma.g != g:
-        raise LengthMismatch(f"gamma has length {len(gamma.bits)}, expected {2 * g}")
+        raise LengthMismatch(f"gamma has length {2 * gamma.g}, expected {2 * g}")
     if gamma.is_zero():
         raise TrivialElement("the averaging sector is indexed by nonzero gamma")
     [(_, minus)] = _minus_counts(g, [gamma])
@@ -332,6 +347,9 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     once per distinct N_-(gamma).  The exhaustive check certifies over GF(2)
     that every count is the same, assuming the pairing is linear in its
     first argument, and then checks the one gamma the certificate returns.
+    It reads O(g^2) pairings and builds each element from an int, never
+    through the validating constructor, so the CLI runs it by default at
+    every genus up to MAX_GENUS.
     Returns a report on success; raises IdentityViolation with the first
     differing coefficient otherwise, PairingNotAlternating or
     PairingNotBilinear for a pairing the count cannot use, or ValueError

@@ -54,24 +54,33 @@ def test_poly_display(coeffs, plain, latex):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, agree",
     [
-        ("poincare", "--space", "higgs", "--genus", "3"),
-        ("poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"),
-        ("macdonald", "--genus", "3", "--n", "3"),
+        (("poincare", "--space", "higgs", "--genus", "3"), True),
+        (("poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"), True),
+        (("macdonald", "--genus", "3", "--n", "3"), True),
+        (("poincare", "--space", "higgs", "--genus", "3"), False),
     ],
-    ids=["poincare-both", "poincare-one", "macdonald"],
+    ids=["poincare-both", "poincare-one", "macdonald", "poincare-disagree"],
 )
-def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, argv):
+def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, argv, agree):
     # the plain and LaTeX texts are built only for the format printed, which
     # keeps them out of the peak memory of a JSON call at the genus cap
     def refuse(poly):
         raise AssertionError("a JSON call built a polynomial's text")
 
+    if not agree:
+        import higgsmoduli.higgs as higgs
+
+        monkeypatch.setattr(higgs, "poincare_M_stratified", lambda g: IntPoly([1]))
     monkeypatch.setattr(IntPoly, "__str__", refuse)
     code, out, _ = invoke(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert json.loads(out)["coeffs"]
+    if agree:
+        assert code == 0
+        assert json.loads(out)["coeffs"]
+    else:
+        assert code == 1
+        assert json.loads(out)["agree"] is False
 
 
 class TestPoincare:
@@ -192,11 +201,24 @@ class TestMirror:
         assert code == 0
         assert "7 elements checked" in out
 
-    def test_exhaustive_through_genus_eight_by_default(self, capsys):
-        assert cli.EXHAUSTIVE_MIRROR_MAX_GENUS == 8
-        code, out, _ = invoke(capsys, "mirror", "--genus", "7")
-        assert code == 0
-        assert "16383 elements checked, pass" in out
+    def test_certificate_is_the_default_at_every_genus(self, capsys, monkeypatch):
+        import higgsmoduli.mirror as mirror_mod
+
+        certified = []
+        certificate = mirror_mod._certificate
+        monkeypatch.setattr(mirror_mod, "_certificate",
+                            lambda g: certified.append(g) or certificate(g))
+        for genus, count in ((7, 16383), (10, 1048575)):
+            code, out, _ = invoke(capsys, "mirror", "--genus", str(genus))
+            assert code == 0
+            assert f"{count} elements checked, pass" in out
+        assert certified == [7, 10]
+
+    def test_help_states_the_genus_range(self, capsys):
+        from higgsmoduli import mirror
+
+        code, out, _ = invoke(capsys, "mirror", "--help")
+        assert code == 0 and f"2 to {mirror.MAX_GENUS}" in out
 
     def test_genus_cap(self, capsys):
         code, out, err = invoke(capsys, "mirror", "--genus", "11")
@@ -208,7 +230,7 @@ class TestMirror:
         assert "1 elements checked, pass" in out
 
     def test_sample_cap(self, capsys):
-        # the cap is the exhaustive sweep's size at EXHAUSTIVE_MIRROR_MAX_GENUS
+        # the cap is MIRROR_MAX_SAMPLE, at every genus
         code, out, err = invoke(capsys, "mirror", "--genus", "10", "--sample", "65536")
         assert code == 2
         assert out == ""
@@ -649,7 +671,7 @@ def test_benchmarked_calls_are_inside_the_caps(bench):
         elif args.command == "macdonald":
             assert args.genus <= cli.MACDONALD_MAX_GENUS and args.n <= cli.MACDONALD_MAX_N, argv
         elif args.command == "mirror" and args.sample is not None:
-            assert args.sample <= 4**cli.EXHAUSTIVE_MIRROR_MAX_GENUS - 1, argv
+            assert args.sample <= cli.MIRROR_MAX_SAMPLE, argv
         elif args.command in ("dims", "spectral"):
             assert max(args.rank, args.genus, abs(args.degree)) <= cli.NUMBER_MAX, argv
         elif args.command == "git" and args.git_command == "hm":

@@ -481,6 +481,19 @@ class TestBivarPoly:
         with pytest.raises(ValueError):
             bivar_eval_signed_binomial(1, 1, 1)
 
+    def test_signed_binomial_reads_one_binomial_row(self, monkeypatch):
+        calls = 0
+
+        def counted(n, k):
+            nonlocal calls
+            calls += 1
+            return math.comb(n, k)
+
+        monkeypatch.setattr(exactpoly, "comb", counted)
+        p = bivar_eval_signed_binomial(10, 1, -1)
+        assert calls == 10
+        assert p.coefficient(3, 5) == -math.comb(9, 3) * math.comb(9, 5)
+
     def test_to_sorted_dict(self):
         p = BivarPoly({(10, 3): 1, (2, 1): -2})
         assert p.to_sorted_dict() == {"2,1": -2, "10,3": 1}

@@ -61,6 +61,19 @@ class TestGamma2Element:
             e = Gamma2Element.from_int(v, 2)
             assert sum(b << i for i, b in enumerate(e.bits)) == v
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_from_int_is_the_element_of_its_bits(self, g):
+        elements = [Gamma2Element.from_int(v, g) for v in range(4**g)]
+        for v, e in enumerate(elements):
+            bits = tuple((v >> i) & 1 for i in range(2 * g))
+            built = Gamma2Element(bits)
+            assert e == built and hash(e) == hash(built)
+            assert e.bits == built.bits == bits
+            assert e.g == built.g == g
+            assert e.is_zero() == built.is_zero() == (v == 0)
+            for w in (0, 1, 4**g // 3, 4**g - 1):
+                assert e + elements[w] == elements[v ^ w]
+
     def test_addition_is_xor(self):
         a = Gamma2Element((1, 0, 1, 0))
         b = Gamma2Element((1, 1, 0, 0))
@@ -474,6 +487,14 @@ class TestCertificate:
         assert exc_info.value.gamma_bits == (1, 1, 0, 0, 0, 0)
         assert cli.run(["mirror", "--genus", "3"]) == 1
         assert "not linear in its first argument" in capsys.readouterr().err
+
+    def test_certificate_builds_no_element_through_the_constructor(self, monkeypatch):
+        def refuse(self, bits):
+            raise AssertionError("an element was built from a bit tuple")
+
+        monkeypatch.setattr(Gamma2Element, "__init__", refuse)
+        report = mirror_verify(10)
+        assert report.passed and report.elements_checked == 4**10 - 1
 
     def test_pairing_calls_grow_as_g_squared(self, monkeypatch):
         calls = 0

@@ -11,6 +11,7 @@ import pytest
 import higgsmoduli
 import higgsmoduli.exactpoly
 import higgsmoduli.higgs
+import higgsmoduli.mirror
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
@@ -109,3 +110,9 @@ def test_higgs_doctests():
     results = doctest.testmod(higgsmoduli.higgs)
     assert results.failed == 0
     assert results.attempted >= 1
+
+
+def test_mirror_doctests():
+    results = doctest.testmod(higgsmoduli.mirror)
+    assert results.failed == 0
+    assert results.attempted >= 3
