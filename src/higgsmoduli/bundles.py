@@ -28,7 +28,7 @@ degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 """
 from __future__ import annotations
 
-from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand
+from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand, shifted_sum
 
 __all__ = [
     "poincare_N_closed",
@@ -116,23 +116,30 @@ def recursion_strata_count(g: int, order: int | None = None) -> int:
     return len(_strata_codims(g, _working_order(g, order)))
 
 
+def _recursion_terms(g: int, window: int):
+    # (shift, coefficients): the classifying-space series, then each negated
+    # stratum series cut at the window; each is built when the sum reads it
+    yield 0, classifying_space_poly(g, window).poly.coeffs
+    minus = (-strata_equivariant_poly(g, window).poly).coeffs
+    for codim in _strata_codims(g, window):
+        yield codim, minus[:window - codim]
+
+
 def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     """
-    The Atiyah-Bott recursion.  Subtracts the stratum series, shifted by
-    their codimensions, from the classifying-space series (each shift moves
-    the coefficients up and drops those past the window, so the loop costs
-    O(window) additions per stratum and no multiplication); multiplies by
-    (1 - t^2) to remove the central C^*; and divides exactly by the Jacobian
-    factor (1+t)^(2g).  Exactness of that division, and the vanishing of all
-    window coefficients above degree 8g - 6 before it, are checked; either
-    failure would mean a transcription or implementation error.
+    The Atiyah-Bott recursion.  Subtracts the stratum series, each shifted
+    by its codimension and cut at the window, from the classifying-space
+    series: the negated series is added into one list, in window - codim
+    additions per stratum and no multiplication.  Then multiplies by
+    (1 - t^2) to remove the central C^*, and divides exactly by the
+    Jacobian factor (1+t)^(2g).  Exactness of that division, and the
+    vanishing of all window coefficients above degree 8g - 6 before it, are
+    checked; either failure would mean a transcription or implementation
+    error.
     """
     _check_genus(g)
     window = _working_order(g, order)
-    acc = classifying_space_poly(g, window)
-    stratum = strata_equivariant_poly(g, window)
-    for codim in _strata_codims(g, window):
-        acc = acc - TruncSeries(stratum.poly.shift(codim), window)
-    n_series = acc * _ONE_MINUS_T2
+    acc = shifted_sum(_recursion_terms(g, window))
+    n_series = TruncSeries(acc, window) * _ONE_MINUS_T2
     n_poly = n_series.polynomial_part(8 * g - 6)
     return poly_exact_div(n_poly, _ONE_PLUS_T ** (2 * g))

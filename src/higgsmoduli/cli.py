@@ -18,12 +18,18 @@ arrays) so golden files can compare bytes.
 
 Building the parser imports no computation module: each subcommand imports
 the layer it runs, so a call pays only for the modules it uses.
+
+main is the console entry point and ends the process: it freezes the garbage
+collector (gc.freeze) before it raises SystemExit, so the interpreter's exit
+does not walk every object the call loaded in one last collection.  A
+long-lived process should call run, which returns the exit code and leaves
+the collector alone.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import io
-import re
 import signal
 import sys
 
@@ -56,7 +62,7 @@ def _check_numbers(args) -> None:
 
 def _latex(poly) -> str:
     """The plain display as inline LaTeX math, exponents braced: t^3 -> t^{3}."""
-    return "$" + re.sub(r"\^(\d+)", r"^{\1}", str(poly)) + "$"
+    return "$" + poly.text("{}") + "$"
 
 
 def _latex_table(rows) -> str:
@@ -369,6 +375,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    """
+    Run sys.argv[1:] and end the process with its exit code.
+
+    Before it raises SystemExit, main moves every live object to the
+    collector's permanent generation (gc.freeze): the collection that
+    interpreter shutdown runs then skips them, and the OS reclaims their
+    memory when the process ends.  atexit handlers still run and buffered
+    stdout is still flushed.  Call run, not main, from a process that goes on.
+    """
     if hasattr(signal, "SIGPIPE"):
         # A reader that closes the pipe early (| head) ends the process the
         # way it ends any filter, instead of a BrokenPipeError traceback and
@@ -387,4 +402,5 @@ def main() -> None:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         code = 130
+    gc.freeze()
     sys.exit(code)

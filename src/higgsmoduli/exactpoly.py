@@ -148,13 +148,18 @@ class IntPoly(Record):
         """Coefficients as a plain list, index = exponent (JSON-friendly)."""
         return list(self.coeffs)
 
-    def __str__(self):
+    def text(self, braces: str = "") -> str:
         """
         Ascending-power display, the convention of the Betti-number tables.
+        braces, empty or two characters, encloses each exponent above 1:
+        "{}" gives the exponents of LaTeX.
 
         >>> print(IntPoly([-1, 1, 0, -3]))
         -1 + t - 3t^3
+        >>> IntPoly([0, 2, 0, 0, 0, 0, 0, 0, 0, 0, -1]).text("{}")
+        '2t - t^{10}'
         """
+        left, right = braces[:1], braces[1:]
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -163,13 +168,15 @@ class IntPoly(Record):
             if i == 0:
                 term = str(mag)
             else:
-                power = "t" if i == 1 else f"t^{i}"
+                power = "t" if i == 1 else f"t^{left}{i}{right}"
                 term = power if mag == 1 else f"{mag}{power}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(("+ " if c > 0 else "- ") + term)
         return " ".join(parts) if parts else "0"
+
+    __str__ = text
 
     def __repr__(self):
         return f"IntPoly('{self}')"
@@ -244,6 +251,27 @@ class IntPoly(Record):
         return IntPoly._of_ints([0] * (v * n) + q)
 
 
+def shifted_sum(terms) -> IntPoly:
+    """
+    The sum of t^shift times the polynomial with coefficients coeffs, over the
+    (shift, coeffs) pairs of terms.  Each term is added slice-wise into one
+    list, and no shifted or padded polynomial is built for it: the part of
+    the term that overlaps the sum so far costs one addition a coefficient,
+    and the part past its end is appended as it is.
+
+    >>> shifted_sum([(0, (1, 1)), (1, (2,)), (3, (0, 5))])
+    IntPoly('1 + 3t + 5t^4')
+    """
+    out: list[int] = []
+    for shift, coeffs in terms:
+        out += [0] * (shift - len(out))
+        end = min(len(out), shift + len(coeffs))
+        out[shift:end] = map(operator.add, out[shift:end], coeffs)
+        out += coeffs[end - shift:]
+        del coeffs  # freed before terms builds the next one
+    return IntPoly._of_ints(out)
+
+
 def _padded(p: IntPoly, other: int | IntPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The coefficients of p and of other, both padded with zeros to one length."""
     a, b = p.coeffs, (other,) if isinstance(other, int) else other.coeffs
@@ -286,9 +314,6 @@ class TruncSeries(Record):
                     f"coefficient {self.poly.coefficient(i)} at t^{i} past degree {max_degree}"
                 )
         return self.poly.truncate(max_degree + 1)
-
-    def __sub__(self, other: TruncSeries) -> TruncSeries:
-        return TruncSeries(self.poly - other.poly, min(self.order, other.order))
 
     def __mul__(self, other: int | IntPoly | TruncSeries) -> TruncSeries:
         # Terms at or past the result order cannot reach a kept coefficient.

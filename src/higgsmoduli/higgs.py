@@ -38,9 +38,10 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
 from __future__ import annotations
 
 import functools
+import operator
 
 from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, _check_genus, poincare_N_closed
-from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div
+from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div, shifted_sum
 
 __all__ = [
     "DegreeOverflow",
@@ -87,7 +88,7 @@ def variant_hodge_numbers(g: int, k: int) -> list[int]:
     """
     kbar = _check_stratum(g, k)
     row = _binomial_row(g)
-    return [row[p] * row[kbar - p] for p in range(kbar + 1)]
+    return list(map(operator.mul, row[:kbar + 1], row[kbar::-1]))
 
 
 def fixed_locus_poincare(g: int, k: int) -> IntPoly:
@@ -112,15 +113,21 @@ def bb_codimension(g: int, k: int) -> int:
     return 2 * (g + 2 * k - 2)
 
 
+def _bb_summands(g: int):
+    # (shift, coefficients) of each summand, built only when the sum reads it
+    yield 0, poincare_N_closed(g).coeffs
+    for k in range(1, g):
+        yield bb_codimension(g, k), fixed_locus_poincare(g, k).coeffs
+
+
 def poincare_M_stratified(g: int) -> IntPoly:
     """
     The stratified sum: the bundle moduli contribution plus one shifted
-    fixed-locus polynomial per k.  Every summand tops out at degree exactly
-    6g - 6; anything larger is flagged as a bug.
+    fixed-locus polynomial per k.  The fixed loci are built one at a time and
+    added into one coefficient list.  Every summand tops out at degree
+    exactly 6g - 6; anything larger is flagged as a bug.
     """
-    total = poincare_N_closed(g)
-    for k in range(1, g):
-        total = total + fixed_locus_poincare(g, k).shift(bb_codimension(g, k))
+    total = shifted_sum(_bb_summands(g))
     if total.degree() > 6 * g - 6:
         raise DegreeOverflow(f"degree {total.degree()} exceeds {6 * g - 6}")
     return total

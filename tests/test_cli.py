@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, exit codes, JSON stability."""
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -27,11 +28,15 @@ def invoke(capsys, *argv):
 
 @pytest.fixture
 def restore_sigpipe():
-    """cli.main resets SIGPIPE for its process; give the test process its handler back."""
+    """
+    cli.main resets SIGPIPE and freezes the collector for its process; give
+    the test process its handler and its collectable objects back.
+    """
     previous = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
     yield
     if previous is not None:
         signal.signal(signal.SIGPIPE, previous)
+    gc.unfreeze()
 
 
 @pytest.mark.parametrize(
@@ -74,6 +79,7 @@ def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, argv, agree):
 
         monkeypatch.setattr(higgs, "poincare_M_stratified", lambda g: IntPoly([1]))
     monkeypatch.setattr(IntPoly, "__str__", refuse)
+    monkeypatch.setattr(IntPoly, "text", refuse)
     code, out, _ = invoke(capsys, *argv, "--format", "json")
     if agree:
         assert code == 0
@@ -458,6 +464,39 @@ class TestNumberCaps:
         assert code == 0 and "at most 1000000" in out
 
 
+# Stand-in pipelines, defined once for the test process and for a child.
+STAND_INS = """
+from higgsmoduli.exactpoly import IntPoly
+
+def disagreeing(g):
+    return IntPoly([1])
+
+def interrupted(g):
+    raise KeyboardInterrupt
+"""
+# Registered before main: writes how many objects are frozen when the process exits.
+MAIN_WITH_ATEXIT_REPORT = """
+import atexit, gc, os
+
+def report():
+    with open(os.environ["FREEZE_REPORT"], "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+atexit.register(report)
+from higgsmoduli.cli import main; main()
+"""
+# Every exit code of main: argv, and (module, pipeline, stand-in) or None.
+EXIT_PATHS = {
+    "pass": (("poincare", "--space", "higgs", "--genus", "3"), None),
+    "disagree": (("poincare", "--space", "higgs", "--genus", "3"),
+                 ("higgs", "poincare_M_stratified", "disagreeing")),
+    "over-cap": (("poincare", "--space", "higgs", "--genus", "401"), None),
+    "interrupt": (("poincare", "--space", "vector-bundles", "--genus", "2"),
+                  ("bundles", "poincare_N_closed", "interrupted")),
+    "help": (("--help",), None),
+}
+
+
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
@@ -541,6 +580,45 @@ class TestPlumbing:
         assert code == 130
         assert captured.out == ""
         assert captured.err == "interrupted\n"
+
+    @pytest.mark.parametrize("path", EXIT_PATHS, ids=list(EXIT_PATHS))
+    def test_main_in_a_child_prints_what_run_prints(self, capsys, monkeypatch, tmp_path, path):
+        # main freezes the collector on every exit path; the process still
+        # exits through SystemExit, so atexit hooks run after the freeze and
+        # the buffered stdout is flushed
+        argv, stand_in = EXIT_PATHS[path]
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+        patch = ""
+        if stand_in is not None:
+            module, name, replacement = stand_in
+            stand_ins = {}
+            exec(STAND_INS, stand_ins)
+            monkeypatch.setattr(importlib.import_module(f"higgsmoduli.{module}"), name,
+                                stand_ins[replacement])
+            patch = f"import higgsmoduli.{module} as m; m.{name} = {replacement}\n"
+        try:
+            code = cli.run(list(argv))
+            interrupted = ""
+        except KeyboardInterrupt:
+            code, interrupted = 130, "interrupted\n"
+        expected = capsys.readouterr()
+
+        report = tmp_path / "freeze_count"
+        child = STAND_INS + patch + MAIN_WITH_ATEXIT_REPORT
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80",
+               "FREEZE_REPORT": str(report)}
+        done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                              env=env, timeout=60)
+        assert done.returncode == code
+        assert done.stdout == expected.out.encode()
+        assert done.stderr == (expected.err + interrupted).encode()
+        assert int(report.read_text()) > 0
+
+    def test_run_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        code, _, _ = invoke(capsys, "poincare", "--space", "higgs", "--genus", "3")
+        assert code == 0
+        assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_resource_exhaustion_is_input_error(self, capsys, monkeypatch, error):

@@ -125,6 +125,16 @@ class TestStratifiedSum:
         assert p == M_G2
         assert p.evaluate(1) == 44
 
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    def test_stratum_past_the_middle_dimension_overflows(self, monkeypatch, g):
+        # a codimension two too large lifts the k = 1 summand past 6g - 6
+        import higgsmoduli.higgs as higgs
+
+        original = higgs.bb_codimension
+        monkeypatch.setattr(higgs, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
+        with pytest.raises(DegreeOverflow):
+            poincare_M_stratified(g)
+
     def test_term_weights_genus_two(self):
         # N contributes t^5 coefficient 0; the k=1 fixed locus enters at t^4
         # with weight t^1 on the middle class: 34 = middle coefficient
