@@ -93,56 +93,33 @@ def _cmd_poincare(args) -> int:
     if args.space == "vector-bundles":
         from . import bundles
 
-        pipelines = {
-            "closed": lambda: bundles.poincare_N_closed(g),
-            "recursion": lambda: bundles.poincare_N_recursion(g),
-        }
+        pipelines = {"closed": bundles.poincare_N_closed, "recursion": bundles.poincare_N_recursion}
     else:
         from . import higgs
 
-        pipelines = {
-            "closed": lambda: higgs.poincare_M_closed(g),
-            "strata": lambda: higgs.poincare_M_stratified(g),
-        }
+        pipelines = {"closed": higgs.poincare_M_closed, "strata": higgs.poincare_M_stratified}
     if args.via != "both" and args.via not in pipelines:
         raise ValueError(f"--via {args.via} does not apply to --space {args.space}")
 
+    payload = {"space": args.space, "genus": g, "via": args.via}
     if args.via != "both":
-        poly = pipelines[args.via]()
-        payload = {
-            "space": args.space,
-            "genus": g,
-            "via": args.via,
-            "coeffs": poly.to_coeff_list(),
-        }
-        _output(args.format, lambda: str(poly), payload, lambda: _latex(poly))
-        return 0
-
-    (name_a, make_a), (name_b, make_b) = pipelines.items()
-    poly_a, poly_b = make_a(), make_b()
-    if poly_a == poly_b:
-        del poly_b  # only poly_a is printed
-        payload = {
-            "space": args.space,
-            "genus": g,
-            "via": "both",
-            "agree": True,
-            "coeffs": poly_a.to_coeff_list(),
-        }
-        _output(args.format, lambda: f"{poly_a}\n{name_a} and {name_b} agree", payload,
-                lambda: _latex(poly_a))
-        return 0
-    payload = {
-        "space": args.space,
-        "genus": g,
-        "via": "both",
-        "agree": False,
-        f"coeffs_{name_a}": poly_a.to_coeff_list(),
-        f"coeffs_{name_b}": poly_b.to_coeff_list(),
-    }
-    _output(args.format, lambda: f"{name_a}: {poly_a}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
-            payload, lambda: _latex_table([(name_a, _latex(poly_a)), (name_b, _latex(poly_b))]))
-    return 1
+        poly = pipelines[args.via](g)
+        plain = lambda: str(poly)
+    else:
+        (name_a, route_a), (name_b, route_b) = pipelines.items()
+        poly, poly_b = route_a(g), route_b(g)
+        payload["agree"] = poly == poly_b
+        if not payload["agree"]:
+            payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
+            payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
+            _output(args.format, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
+                    payload, lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
+            return 1
+        del poly_b  # only poly is printed
+        plain = lambda: f"{poly}\n{name_a} and {name_b} agree"
+    payload["coeffs"] = poly.to_coeff_list()
+    _output(args.format, plain, payload, lambda: _latex(poly))
+    return 0
 
 
 def _cmd_mirror(args) -> int:
@@ -193,11 +170,7 @@ def _cmd_dims(args) -> int:
         f"rank {params.r}  degree {params.d}  genus {params.g}  group {params.group}"
     )
     body = "\n".join(f"{name:<13}{value}" for name, value in dims.items())
-    latex = _latex_table(
-        [("rank", params.r), ("degree", params.d), ("genus", params.g),
-         ("group", params.group)] + list(dims.items())
-    )
-    _output(args.format, f"{header}\n{body}", payload, latex)
+    _output(args.format, f"{header}\n{body}", payload, _latex_table(payload.items()))
     return 0
 
 

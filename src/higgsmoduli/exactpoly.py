@@ -181,11 +181,11 @@ class IntPoly(Record):
     def __repr__(self):
         return f"IntPoly('{self}')"
 
-    def __add__(self, other: int | IntPoly) -> IntPoly:
-        return IntPoly._of_ints(map(operator.add, *_padded(self, other)))
+    def __add__(self, other: IntPoly) -> IntPoly:
+        return shifted_sum([(0, self.coeffs), (0, other.coeffs)])
 
-    def __sub__(self, other: int | IntPoly) -> IntPoly:
-        return IntPoly._of_ints(map(operator.sub, *_padded(self, other)))
+    def __sub__(self, other: IntPoly) -> IntPoly:
+        return self + -other
 
     def __neg__(self) -> IntPoly:
         return IntPoly._of_ints(-c for c in self.coeffs)
@@ -270,12 +270,6 @@ def shifted_sum(terms) -> IntPoly:
         out += coeffs[end - shift:]
         del coeffs  # freed before terms builds the next one
     return IntPoly._of_ints(out)
-
-
-def _padded(p: IntPoly, other: int | IntPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The coefficients of p and of other, both padded with zeros to one length."""
-    a, b = p.coeffs, (other,) if isinstance(other, int) else other.coeffs
-    return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
 
 
 class TruncSeries(Record):

@@ -100,7 +100,7 @@ def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     """
     kbar = _check_stratum(g, k)
     covers = (2 ** (2 * g) - 1) * sum(variant_hodge_numbers(g, k))
-    return coeff_extract_x(g, kbar) + IntPoly.monomial(kbar, covers)
+    return shifted_sum([(0, coeff_extract_x(g, kbar).coeffs), (kbar, (covers,))])
 
 
 def bb_codimension(g: int, k: int) -> int:

@@ -88,46 +88,43 @@ class TrivialElement(ValueError):
     """The averaging side is indexed by nonzero group elements only."""
 
 
-class IdentityViolation(ArithmeticError):
+class _CheckFailure(ArithmeticError):
+    """A failed check at one element gamma; the message opens with the genus and gamma's bits."""
+
+    def __init__(self, genus, gamma_bits, what):
+        self.genus = genus
+        self.gamma_bits = gamma_bits
+        super().__init__(f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: {what}")
+
+
+class IdentityViolation(_CheckFailure):
     """The two sides of the mirror identity differ; carries the first mismatch."""
 
     def __init__(self, genus, gamma_bits, monomial, lhs_coeff, rhs_coeff):
-        self.genus = genus
-        self.gamma_bits = gamma_bits
         self.monomial = monomial
         self.lhs_coeff = lhs_coeff
         self.rhs_coeff = rhs_coeff
         p, q = monomial
-        super().__init__(
-            f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
-            f"coefficient of u^{p} v^{q} is {lhs_coeff} on the left, {rhs_coeff} on the right"
-        )
+        super().__init__(genus, gamma_bits, f"coefficient of u^{p} v^{q} is {lhs_coeff} "
+                         f"on the left, {rhs_coeff} on the right")
 
 
-class PairingNotAlternating(ArithmeticError):
+class PairingNotAlternating(_CheckFailure):
     """w(gamma, gamma) != 1: the pairing is not the alternating form the count assumes."""
 
     def __init__(self, genus, gamma_bits, value):
-        self.genus = genus
-        self.gamma_bits = gamma_bits
         self.value = value
-        super().__init__(
-            f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
-            f"w(gamma, gamma) is {value}, not 1; the pairing is not alternating"
-        )
+        super().__init__(genus, gamma_bits,
+                         f"w(gamma, gamma) is {value}, not 1; the pairing is not alternating")
 
 
-class PairingNotBilinear(ArithmeticError):
+class PairingNotBilinear(_CheckFailure):
     """A Gram kernel vector with a nonzero row: w is not linear in its first argument."""
 
     def __init__(self, genus, gamma_bits):
-        self.genus = genus
-        self.gamma_bits = gamma_bits
-        super().__init__(
-            f"genus {genus}, gamma {''.join(map(str, gamma_bits))}: "
-            "the basis rows it combines sum to zero, but its own row is not zero; "
-            "the pairing is not linear in its first argument"
-        )
+        super().__init__(genus, gamma_bits,
+                         "the basis rows it combines sum to zero, but its own row is not zero; "
+                         "the pairing is not linear in its first argument")
 
 
 class Gamma2Element(Record):

@@ -167,6 +167,57 @@ class TestPoincare:
         assert payload["agree"] is False
         assert "coeffs_closed" in payload and "coeffs_recursion" in payload
 
+    @pytest.mark.parametrize(
+        "space, module, route, stand_in, expected",
+        [
+            ("vector-bundles", "bundles", "poincare_N_recursion", [1, 0, -2, 3], {
+                "plain": "closed: 1 + t^2 + 4t^3 + t^4 + t^6\n"
+                         "recursion: 1 - 2t^2 + 3t^3\n"
+                         "PIPELINES DISAGREE\n",
+                "json": '{"agree": false, "coeffs_closed": [1, 0, 1, 4, 1, 0, 1], '
+                        '"coeffs_recursion": [1, 0, -2, 3], "genus": 2, '
+                        '"space": "vector-bundles", "via": "both"}\n',
+                "latex": "\\begin{tabular}{ll}\n"
+                         "closed & $1 + t^{2} + 4t^{3} + t^{4} + t^{6}$ \\\\\n"
+                         "recursion & $1 - 2t^{2} + 3t^{3}$ \\\\\n"
+                         "\\end{tabular}\n",
+            }),
+            ("higgs", "higgs", "poincare_M_stratified", [0] * 11 + [5], {
+                "plain": "closed: 1 + t^2 + 4t^3 + 2t^4 + 34t^5 + 2t^6\n"
+                         "strata: 5t^11\n"
+                         "PIPELINES DISAGREE\n",
+                "json": '{"agree": false, "coeffs_closed": [1, 0, 1, 4, 2, 34, 2], '
+                        '"coeffs_strata": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5], '
+                        '"genus": 2, "space": "higgs", "via": "both"}\n',
+                "latex": "\\begin{tabular}{ll}\n"
+                         "closed & $1 + t^{2} + 4t^{3} + 2t^{4} + 34t^{5} + 2t^{6}$ \\\\\n"
+                         "strata & $5t^{11}$ \\\\\n"
+                         "\\end{tabular}\n",
+            }),
+        ],
+        ids=["vector-bundles", "higgs"],
+    )
+    def test_disagreement_bytes(self, capsys, monkeypatch, space, module, route, stand_in,
+                                expected):
+        monkeypatch.setattr(importlib.import_module(f"higgsmoduli.{module}"), route,
+                            lambda g: IntPoly(stand_in))
+        for fmt, text in expected.items():
+            assert invoke(capsys, "poincare", "--space", space, "--genus", "2",
+                          "--format", fmt) == (1, text, "")
+
+    def test_payload_key_sets(self, capsys, monkeypatch):
+        def keys(code, *argv):
+            result = invoke(capsys, "poincare", "--space", "higgs", "--genus", "2",
+                            "--format", "json", *argv)
+            assert result[0] == code
+            return sorted(json.loads(result[1]))
+
+        assert keys(0, "--via", "strata") == ["coeffs", "genus", "space", "via"]
+        assert keys(0) == ["agree", "coeffs", "genus", "space", "via"]
+        monkeypatch.setattr(importlib.import_module("higgsmoduli.higgs"),
+                            "poincare_M_stratified", lambda g: IntPoly([1]))
+        assert keys(1) == ["agree", "coeffs_closed", "coeffs_strata", "genus", "space", "via"]
+
     def test_genus_cap(self, capsys, monkeypatch):
         import higgsmoduli.bundles as bundles
 

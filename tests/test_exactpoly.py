@@ -103,6 +103,13 @@ class TestIntPoly:
         assert p * 0 == IntPoly([])
         assert -p == IntPoly([-1, -2])
 
+    def test_difference_with_cancelled_top_is_trimmed(self):
+        p, q = IntPoly([1, 2, 3, 4]), IntPoly([0, 5, 3, 4])
+        assert (p - q).coeffs == (1, -3)
+        assert (q - p).coeffs == (-1, 3)
+        assert (p - p).coeffs == ()
+        assert (p + -q).degree() == 1
+
     def test_pow(self):
         assert ONE_PLUS_T**4 == IntPoly([1, 4, 6, 4, 1])
         assert ONE_PLUS_T**0 == IntPoly([1])
@@ -131,10 +138,12 @@ class TestShiftedSum:
     @given(st.lists(st.tuples(st.integers(0, 20), polys), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_sum_of_shifted_polynomials(self, terms):
-        expected = IntPoly()
+        # coefficient by coefficient: IntPoly.__add__ is itself a shifted_sum
+        expected = [0] * max((shift + len(p.coeffs) for shift, p in terms), default=0)
         for shift, p in terms:
-            expected = expected + p.shift(shift)
-        assert shifted_sum((shift, p.coeffs) for shift, p in terms) == expected
+            for i, c in enumerate(p.coeffs):
+                expected[shift + i] += c
+        assert shifted_sum((shift, p.coeffs) for shift, p in terms) == IntPoly(expected)
 
     def test_each_term_is_freed_before_the_next_is_built(self):
         # the fixed loci and the strata are built lazily and must not pile up

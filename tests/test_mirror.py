@@ -395,6 +395,33 @@ class TestMirrorVerify:
         assert err.lhs_coeff != err.rhs_coeff
 
 
+class TestCheckFailureMessages:
+    """The three errors a failed mirror check raises: exact text and attributes."""
+
+    @pytest.mark.parametrize(
+        "error, message, attributes",
+        [
+            (IdentityViolation(3, (1, 0, 0, 1, 1, 0), (4, 2), 7, -1),
+             "genus 3, gamma 100110: coefficient of u^4 v^2 is 7 on the left, -1 on the right",
+             {"genus": 3, "gamma_bits": (1, 0, 0, 1, 1, 0), "monomial": (4, 2), "lhs_coeff": 7,
+              "rhs_coeff": -1}),
+            (PairingNotAlternating(2, (0, 1, 1, 0), -1),
+             "genus 2, gamma 0110: w(gamma, gamma) is -1, not 1; the pairing is not alternating",
+             {"genus": 2, "gamma_bits": (0, 1, 1, 0), "value": -1}),
+            (PairingNotBilinear(4, (1, 1, 0, 0, 0, 0, 0, 1)),
+             "genus 4, gamma 11000001: the basis rows it combines sum to zero, but its own row "
+             "is not zero; the pairing is not linear in its first argument",
+             {"genus": 4, "gamma_bits": (1, 1, 0, 0, 0, 0, 0, 1)}),
+        ],
+        ids=["identity-violation", "not-alternating", "not-bilinear"],
+    )
+    def test_text_and_attributes(self, error, message, attributes):
+        assert isinstance(error, ArithmeticError)
+        assert error.args == (message,)
+        assert str(error) == message
+        assert vars(error) == attributes
+
+
 def sweep_outcome(g):
     """The oracle: what the sweep over every nonzero gamma, in increasing order, raises where."""
     lhs = e_poly_kappa_lhs(g)
