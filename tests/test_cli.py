@@ -515,6 +515,127 @@ class TestNumberCaps:
         assert code == 0 and "at most 1000000" in out
 
 
+# Every --help screen at 80 columns, byte for byte: the order of the arguments,
+# their help strings and --format in last place.
+HELP_SCREENS = {
+    "": """\
+usage: higgsmoduli [-h] {poincare,mirror,dims,spectral,git,macdonald} ...
+
+Exact Betti numbers, E-polynomials, and GIT stability for rank-2 moduli of
+bundles and Higgs bundles.
+
+positional arguments:
+  {poincare,mirror,dims,spectral,git,macdonald}
+    poincare            Poincare polynomial of a moduli space
+    mirror              verify the rank-2 mirror-symmetry identity
+    dims                moduli and Hitchin-base dimensions
+    spectral            spectral-curve numerology
+    git                 GIT stability tools
+    macdonald           Poincare polynomial of a symmetric product
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "poincare": """\
+usage: higgsmoduli poincare [-h] --space {vector-bundles,higgs} --genus GENUS
+                            [--via {closed,recursion,strata,both}]
+                            [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --space {vector-bundles,higgs}
+  --genus GENUS         curve genus, 2 to 400
+  --via {closed,recursion,strata,both}
+  --format {plain,json,latex}
+""",
+    "mirror": """\
+usage: higgsmoduli mirror [-h] --genus GENUS [--sample SAMPLE] [--seed SEED]
+                          [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --genus GENUS         curve genus, 2 to 10
+  --sample SAMPLE       check this many random nonzero elements instead of all
+                        2^(2g)-1, at most 65535
+  --seed SEED
+  --format {plain,json,latex}
+""",
+    "dims": """\
+usage: higgsmoduli dims [-h] --rank RANK --genus GENUS [--degree DEGREE]
+                        [--group {gl,sl,pgl}] [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --rank RANK           at most 1000000
+  --genus GENUS         curve genus, at most 1000000
+  --degree DEGREE       |degree| at most 1000000
+  --group {gl,sl,pgl}
+  --format {plain,json,latex}
+""",
+    "spectral": """\
+usage: higgsmoduli spectral [-h] --rank RANK --genus GENUS --degree DEGREE
+                            [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --rank RANK           at most 1000000
+  --genus GENUS         curve genus, at most 1000000
+  --degree DEGREE       |degree| at most 1000000
+  --format {plain,json,latex}
+""",
+    "git": """\
+usage: higgsmoduli git [-h] {classify,hm} ...
+
+positional arguments:
+  {classify,hm}
+    classify     classify a torus weight profile
+    hm           Hilbert-Mumford weight of a filtration
+
+options:
+  -h, --help     show this help message and exit
+""",
+    "git classify": """\
+usage: higgsmoduli git classify [-h] --weights W1,W2,...
+                                [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --weights W1,W2,...
+  --format {plain,json,latex}
+""",
+    "git hm": """\
+usage: higgsmoduli git hm [-h] --blocks N:a:r:d,... --m M [--n N] --genus
+                          GENUS [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --blocks N:a:r:d,...  graded pieces, |entry| at most 1000000
+  --m M                 twist, |m| at most 1000000
+  --n N
+  --genus GENUS         curve genus, at most 1000000
+  --format {plain,json,latex}
+""",
+    "macdonald": """\
+usage: higgsmoduli macdonald [-h] --genus GENUS --n N
+                             [--format {plain,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --genus GENUS         curve genus, at most 200
+  --n N                 symmetric power, at most 10000
+  --format {plain,json,latex}
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=[c or "top" for c in HELP_SCREENS])
+def test_help_screen_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.encode() == HELP_SCREENS[command].encode()
+
+
 # Stand-in pipelines, defined once for the test process and for a child.
 STAND_INS = """
 from higgsmoduli.exactpoly import IntPoly
