@@ -1,8 +1,10 @@
 """
 Command-line surface.
 
-Subcommands dispatch to the computation modules and print plain text, JSON,
-or LaTeX.  Exit codes are meant for scripted pipelines:
+Each subcommand is declared once: its arguments, then --format, and its
+handler.  A handler calls the computation module and returns its outputs, a
+JSON payload and the plain and LaTeX texts; run prints the one that --format
+names.  Exit codes are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
@@ -32,6 +34,7 @@ import gc
 import io
 import signal
 import sys
+from collections.abc import Callable
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -73,7 +76,7 @@ def _latex_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _output(fmt: str, plain, payload: dict, latex) -> None:
+def _output(fmt: str, payload: dict, plain, latex) -> None:
     """
     Print payload as JSON, or the plain or LaTeX text.  A text may be passed
     as a function that builds it, so that a long one is built only if printed.
@@ -87,7 +90,7 @@ def _output(fmt: str, plain, payload: dict, latex) -> None:
     print(text() if callable(text) else text)
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> tuple[dict, Callable[[], str], Callable[[], str]]:
     g = args.genus
     _at_most("--genus", g, POINCARE_MAX_GENUS)
     if args.space == "vector-bundles":
@@ -112,17 +115,15 @@ def _cmd_poincare(args) -> int:
         if not payload["agree"]:
             payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
             payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
-            _output(args.format, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
-                    payload, lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
-            return 1
+            return (payload, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
+                    lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
         del poly_b  # only poly is printed
         plain = lambda: f"{poly}\n{name_a} and {name_b} agree"
     payload["coeffs"] = poly.to_coeff_list()
-    _output(args.format, plain, payload, lambda: _latex(poly))
-    return 0
+    return payload, plain, lambda: _latex(poly)
 
 
-def _cmd_mirror(args) -> int:
+def _cmd_mirror(args) -> tuple[dict, str, str]:
     from . import mirror
 
     sample = args.sample
@@ -145,11 +146,10 @@ def _cmd_mirror(args) -> int:
         ("elements checked", report.elements_checked),
         ("pass", str(report.passed).lower()),
     ])
-    _output(args.format, plain, payload, latex)
-    return 0
+    return payload, plain, latex
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> tuple[dict, str, str]:
     _check_numbers(args)
     from . import geometry
 
@@ -166,15 +166,12 @@ def _cmd_dims(args) -> int:
         "group": params.group,
         **dims,
     }
-    header = (
-        f"rank {params.r}  degree {params.d}  genus {params.g}  group {params.group}"
-    )
+    header = f"rank {params.r}  degree {params.d}  genus {params.g}  group {params.group}"
     body = "\n".join(f"{name:<13}{value}" for name, value in dims.items())
-    _output(args.format, f"{header}\n{body}", payload, _latex_table(payload.items()))
-    return 0
+    return payload, f"{header}\n{body}", _latex_table(payload.items())
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args) -> tuple[dict, str, str]:
     _check_numbers(args)
     from . import geometry
 
@@ -183,12 +180,10 @@ def _cmd_spectral(args) -> int:
     payload = {"rank": args.rank, "genus": args.genus, "degree": args.degree, **fields}
     width = max(len(name) for name in fields) + 2
     plain = "\n".join(f"{name:<{width}}{value}" for name, value in fields.items())
-    latex = _latex_table(list(fields.items()))
-    _output(args.format, plain, payload, latex)
-    return 0
+    return payload, plain, _latex_table(list(fields.items()))
 
 
-def _cmd_git_classify(args) -> int:
+def _cmd_git_classify(args) -> tuple[dict, str, str]:
     from . import stability
 
     try:
@@ -199,8 +194,7 @@ def _cmd_git_classify(args) -> int:
     payload = {"weights": list(weights), "verdict": verdict.value}
     latex = _latex_table([("weights", ",".join(map(str, weights))),
                           ("verdict", verdict.value)])
-    _output(args.format, verdict.value, payload, latex)
-    return 0
+    return payload, verdict.value, latex
 
 
 def _parse_blocks(text: str) -> list[tuple[int, ...]]:
@@ -219,7 +213,7 @@ def _parse_blocks(text: str) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _cmd_git_hm(args) -> int:
+def _cmd_git_hm(args) -> tuple[dict, str, str]:
     _at_most("|--m|", abs(args.m), NUMBER_MAX)
     _at_most("--genus", args.genus, NUMBER_MAX)
     blocks = _parse_blocks(args.blocks)
@@ -236,23 +230,29 @@ def _cmd_git_hm(args) -> int:
     }
     latex = _latex_table([("blocks", args.blocks), ("m", filtration.m),
                           ("genus", filtration.g), ("weight", weight)])
-    _output(args.format, f"weight = {weight}", payload, latex)
-    return 0
+    return payload, f"weight = {weight}", latex
 
 
-def _cmd_macdonald(args) -> int:
+def _cmd_macdonald(args) -> tuple[dict, Callable[[], str], Callable[[], str]]:
     _at_most("--genus", args.genus, MACDONALD_MAX_GENUS)
     _at_most("--n", args.n, MACDONALD_MAX_N)
     from . import exactpoly
 
     poly = exactpoly.coeff_extract_x(args.genus, args.n)
     payload = {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}
-    _output(args.format, lambda: str(poly), payload, lambda: _latex(poly))
-    return 0
+    return payload, lambda: str(poly), lambda: _latex(poly)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
+def _add_command(sub, name: str, help_text: str, handler, *arguments) -> None:
+    """
+    Add subcommand name to sub: its arguments, each a (flag, options) pair,
+    then --format, and handler as the function that run calls.
+    """
+    p = sub.add_parser(name, help=help_text)
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
+    p.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
+    p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,64 +263,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poincare", help="Poincare polynomial of a moduli space")
-    p.add_argument("--space", choices=["vector-bundles", "higgs"], required=True)
-    p.add_argument("--genus", type=int, required=True,
-                   help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")
-    p.add_argument("--via", choices=["closed", "recursion", "strata", "both"],
-                   default="both")
-    _add_format(p)
-    p.set_defaults(func=_cmd_poincare)
-
-    p = sub.add_parser("mirror", help="verify the rank-2 mirror-symmetry identity")
-    p.add_argument("--genus", type=int, required=True, help="curve genus, 2 to 10")
-    p.add_argument("--sample", type=int, default=None,
-                   help="check this many random nonzero elements instead of all "
-                   f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_mirror)
-
-    p = sub.add_parser("dims", help="moduli and Hitchin-base dimensions")
-    p.add_argument("--rank", type=int, required=True, help=f"at most {NUMBER_MAX}")
-    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
-    p.add_argument("--degree", type=int, default=0, help=f"|degree| at most {NUMBER_MAX}")
-    p.add_argument("--group", choices=["gl", "sl", "pgl"], default="sl")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dims)
-
-    p = sub.add_parser("spectral", help="spectral-curve numerology")
-    p.add_argument("--rank", type=int, required=True, help=f"at most {NUMBER_MAX}")
-    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
-    p.add_argument("--degree", type=int, required=True, help=f"|degree| at most {NUMBER_MAX}")
-    _add_format(p)
-    p.set_defaults(func=_cmd_spectral)
+    _add_command(sub, "poincare", "Poincare polynomial of a moduli space", _cmd_poincare,
+                 ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
+                 ("--genus", dict(type=int, required=True,
+                                  help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
+                 ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both")))
+    _add_command(sub, "mirror", "verify the rank-2 mirror-symmetry identity", _cmd_mirror,
+                 ("--genus", dict(type=int, required=True, help="curve genus, 2 to 10")),
+                 ("--sample", dict(type=int, default=None,
+                                   help="check this many random nonzero elements instead of all "
+                                   f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),
+                 ("--seed", dict(type=int, default=0)))
+    # The declarations that dims, spectral and git hm share
+    rank = ("--rank", dict(type=int, required=True, help=f"at most {NUMBER_MAX}"))
+    genus = ("--genus", dict(type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}"))
+    degree = dict(type=int, help=f"|degree| at most {NUMBER_MAX}")
+    _add_command(sub, "dims", "moduli and Hitchin-base dimensions", _cmd_dims, rank, genus,
+                 ("--degree", dict(degree, default=0)),
+                 ("--group", dict(choices=["gl", "sl", "pgl"], default="sl")))
+    _add_command(sub, "spectral", "spectral-curve numerology", _cmd_spectral, rank, genus,
+                 ("--degree", dict(degree, required=True)))
 
     gitp = sub.add_parser("git", help="GIT stability tools")
     gitsub = gitp.add_subparsers(dest="git_command", required=True)
+    _add_command(gitsub, "classify", "classify a torus weight profile", _cmd_git_classify,
+                 ("--weights", dict(required=True, metavar="W1,W2,...")))
+    _add_command(gitsub, "hm", "Hilbert-Mumford weight of a filtration", _cmd_git_hm,
+                 ("--blocks", dict(required=True, metavar="N:a:r:d,...",
+                                   help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
+                 ("--m", dict(type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")),
+                 ("--n", dict(type=int, default=None)), genus)
 
-    p = gitsub.add_parser("classify", help="classify a torus weight profile")
-    p.add_argument("--weights", required=True, metavar="W1,W2,...")
-    _add_format(p)
-    p.set_defaults(func=_cmd_git_classify)
-
-    p = gitsub.add_parser("hm", help="Hilbert-Mumford weight of a filtration")
-    p.add_argument("--blocks", required=True, metavar="N:a:r:d,...",
-                   help=f"graded pieces, |entry| at most {NUMBER_MAX}")
-    p.add_argument("--m", type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--genus", type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}")
-    _add_format(p)
-    p.set_defaults(func=_cmd_git_hm)
-
-    p = sub.add_parser("macdonald", help="Poincare polynomial of a symmetric product")
-    p.add_argument("--genus", type=int, required=True,
-                   help=f"curve genus, at most {MACDONALD_MAX_GENUS}")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"symmetric power, at most {MACDONALD_MAX_N}")
-    _add_format(p)
-    p.set_defaults(func=_cmd_macdonald)
-
+    _add_command(sub, "macdonald", "Poincare polynomial of a symmetric product", _cmd_macdonald,
+                 ("--genus", dict(type=int, required=True,
+                                  help=f"curve genus, at most {MACDONALD_MAX_GENUS}")),
+                 ("--n", dict(type=int, required=True,
+                              help=f"symmetric power, at most {MACDONALD_MAX_N}")))
     return parser
 
 
@@ -335,7 +313,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        payload, plain, latex = args.func(args)
+        _output(args.format, payload, plain, latex)
+        return int(payload.get("agree") is False)  # 1 when --via both's routes disagree
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,10 +182,14 @@ class IntPoly(Record):
         return f"IntPoly('{self}')"
 
     def __add__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return shifted_sum([(0, self.coeffs), (0, other.coeffs)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
-        return self + -other
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return shifted_sum([(0, self.coeffs), (0, tuple(map(operator.neg, other.coeffs)))])
 
     def __neg__(self) -> IntPoly:
         return IntPoly._of_ints(-c for c in self.coeffs)

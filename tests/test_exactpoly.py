@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: polynomials, truncated series, bivariate polynomials."""
 import doctest
 import math
+import operator
 import tracemalloc
 
 import pytest
@@ -109,6 +110,14 @@ class TestIntPoly:
         assert (q - p).coeffs == (-1, 3)
         assert (p - p).coeffs == ()
         assert (p + -q).degree() == 1
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_int_operand_is_a_type_error(self, op):
+        # the operator protocol's error, in either order, not an internal attribute's
+        with pytest.raises(TypeError):
+            op(IntPoly([1]), 1)
+        with pytest.raises(TypeError):
+            op(1, IntPoly([1]))
 
     def test_pow(self):
         assert ONE_PLUS_T**4 == IntPoly([1, 4, 6, 4, 1])
