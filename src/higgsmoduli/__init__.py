@@ -14,8 +14,7 @@ package (or its command line) loads only the modules a caller touches.
 _EXPORTS = {
     "exactpoly": (
         "BivarPoly", "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries",
-        "ZeroConstantTerm", "bivar_eval_signed_binomial", "coeff_extract_x",
-        "poly_exact_div", "series_expand",
+        "ZeroConstantTerm", "coeff_extract_x", "poly_exact_div", "series_expand",
     ),
     "bundles": (
         "classifying_space_poly", "poincare_N_closed", "poincare_N_recursion",

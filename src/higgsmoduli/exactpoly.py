@@ -5,7 +5,8 @@ Everything downstream is bookkeeping with generating functions, so this module
 is deliberately small and strict: dense integer polynomials in one variable t
 (the carrier for Poincare polynomials), truncated power series in t (the
 carrier for rational-function expansions whose tails must cancel), and sparse
-integer polynomials in two variables u, v (the carrier for E-polynomials).
+integer polynomials in two variables u, v (the carrier for E-polynomials, a
+value record with no arithmetic of its own).
 All coefficients are arbitrary-precision Python integers; there is no
 floating point and no rounding anywhere.
 
@@ -41,7 +42,6 @@ NonDivisible instead of returning an approximation.
 from __future__ import annotations
 
 import operator
-from math import comb
 
 from ._record import Record
 
@@ -454,25 +454,12 @@ def _parity_prefix(g: int, top: int) -> list[int]:
     return prefix
 
 
-def bivar_eval_signed_binomial(g: int, sign_u: int, sign_v: int) -> BivarPoly:
-    """
-    The expansion of (1 + sign_u u)^(g-1) (1 + sign_v v)^(g-1).
-
-    The coefficient of u^p v^q is C(g-1, p) C(g-1, q) times the signs; these
-    are the Hodge numbers of a (g-1)-dimensional abelian variety.
-    """
-    if g < 2:
-        raise ValueError("g must be at least 2")
-    if sign_u not in (1, -1) or sign_v not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    row = [comb(g - 1, p) for p in range(g)]
-    return BivarPoly({(p, q): a * b * sign_u**p * sign_v**q
-                      for p, a in enumerate(row) for q, b in enumerate(row)})
-
-
 class BivarPoly(Record):
     """
-    A sparse polynomial in u and v with integer coefficients.
+    A sparse polynomial in u and v with integer coefficients, held as a
+    value: a validated map from exponent pairs (p, q) to the coefficient of
+    u^p v^q.  It does no arithmetic; whoever builds one writes each
+    coefficient.
 
     The coefficient map never stores zeros, so equality of maps is equality
     of polynomials.  Unlike the other records it is mutable, so unhashable.
@@ -488,10 +475,11 @@ class BivarPoly(Record):
         for (p, q), c in (coeffs or {}).items():
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients only, got {c!r}")
-            if p < 0 or q < 0:
+            key = operator.index(p), operator.index(q)
+            if min(key) < 0:
                 raise ValueError("exponents must be nonnegative")
             if c != 0:
-                clean[(int(p), int(q))] = c
+                clean[key] = c
         self.coeffs = clean
 
     def coefficient(self, p: int, q: int) -> int:
@@ -500,25 +488,6 @@ class BivarPoly(Record):
     def monomials(self):
         """Items in a stable (sorted) order."""
         return sorted(self.coeffs.items())
-
-    def sign_twist(self) -> BivarPoly:
-        """Substitute (u, v) -> (-u, -v): each monomial picks up (-1)^(p+q)."""
-        return BivarPoly({(p, q): c if (p + q) % 2 == 0 else -c for (p, q), c in self.coeffs.items()})
-
-    def shift_uv(self, k: int) -> BivarPoly:
-        """Multiply by (uv)^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return BivarPoly({(p + k, q + k): c for (p, q), c in self.coeffs.items()})
-
-    def divide_exact(self, divisor: int) -> BivarPoly:
-        out = {}
-        for (p, q), c in self.coeffs.items():
-            quot, rem = divmod(c, divisor)
-            if rem != 0:
-                raise NonDivisible(f"coefficient {c} of u^{p} v^{q} is not divisible by {divisor}")
-            out[(p, q)] = quot
-        return BivarPoly(out)
 
     def to_sorted_dict(self) -> dict[str, int]:
         """Keys "p,q" in sorted exponent order (JSON-friendly)."""
@@ -534,14 +503,3 @@ class BivarPoly(Record):
             ) or "1"
             parts.append(f"{c:+d} {term}")
         return f"BivarPoly('{' '.join(parts)}')"
-
-    def __sub__(self, other: BivarPoly) -> BivarPoly:
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) - c
-        return BivarPoly(out)
-
-    def __mul__(self, other: int) -> BivarPoly:
-        return BivarPoly({key: c * other for key, c in self.coeffs.items()})
-
-    __rmul__ = __mul__

@@ -13,6 +13,7 @@ so order comparisons between types are exact.
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from ._record import Record
@@ -29,12 +30,18 @@ class IncompatibleTypes(ValueError):
 _GROUPS = ("GL", "SL", "PGL")
 
 
-def _check_rank_genus(r: int, g: int) -> None:
-    """The domain of every formula here: positive rank, genus at least 2."""
+def _check_rank_genus(r: int, g: int, *rest: int) -> tuple[int, ...]:
+    """
+    The domain of every formula here: positive rank, genus at least 2.
+    Returns r, g and the rest read with operator.index, so a float or a
+    string raises TypeError rather than being truncated or carried along.
+    """
+    r, g, *rest = map(operator.index, (r, g, *rest))
     if r < 1:
         raise ValueError("rank must be positive")
     if g < 2:
         raise ValueError("genus must be at least 2")
+    return (r, g, *rest)
 
 
 class ModuliParams(Record):
@@ -51,7 +58,7 @@ class ModuliParams(Record):
     __slots__ = _fields = ("r", "d", "g", "group")
 
     def __init__(self, r: int, d: int, g: int, group: str = "SL"):
-        _check_rank_genus(r, g)
+        r, g, d = _check_rank_genus(r, g, d)
         if group.upper() not in _GROUPS:
             raise UnsupportedCombination(f"unknown structure group {group!r}")
         super().__init__(r, d, g, group.upper())
@@ -104,7 +111,7 @@ def hitchin_base_dim(r: int, g: int, reduced: bool = False) -> int:
     (g-1)(r^2-1), plus g for the unreduced base: half the dimension of the
     corresponding Higgs moduli space.
     """
-    _check_rank_genus(r, g)
+    r, g = _check_rank_genus(r, g)
     return (g - 1) * (r * r - 1) + (0 if reduced else g)
 
 
@@ -125,7 +132,7 @@ def spectral_numbers(r: int, g: int, d: int) -> SpectralNumbers:
     Grothendieck-Riemann-Roch, deg L + (1 - g(Y)) - r(1 - g); solving for
     deg L with prescribed pushforward degree d gives the shift delta.
     """
-    _check_rank_genus(r, g)
+    r, g, d = _check_rank_genus(r, g, d)
     ram = 2 * r * (r - 1) * (g - 1)
     gy = r * r * (g - 1) + 1
     delta = d - (1 - gy) + r * (1 - g)
@@ -138,7 +145,7 @@ def hilbert_poly(r: int, d: int, g: int, n: int) -> int:
     rank r and degree d on a genus-g curve (Riemann-Roch; the twist by O(n)
     adds rn to the degree).
     """
-    _check_rank_genus(r, g)
+    r, g, d, n = _check_rank_genus(r, g, d, n)
     return d + r * (n + 1 - g)
 
 
@@ -153,7 +160,7 @@ class HNType(Record):
     def __init__(self, blocks):
         from fractions import Fraction
 
-        blocks = tuple((int(r), int(d)) for r, d in blocks)
+        blocks = tuple((operator.index(r), operator.index(d)) for r, d in blocks)
         if not blocks:
             raise ValueError("a type needs at least one block")
         if any(r < 1 for r, _ in blocks):

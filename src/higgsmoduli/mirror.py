@@ -25,7 +25,10 @@ The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 Both sides carry the E-polynomial sign convention, which weights the
 monomial u^p v^q by (-1)^(p+q); concretely the sign arrives on the left as
 (-1)^(p+q) on each class of type (p, q), and on the right as the
-substitution (u, v) -> (-u, -v) on the bare Hodge sum.
+substitution (u, v) -> (-u, -v) on the bare Hodge sum.  The right side is
+written in one pass, each of its g^2 coefficients once, from a binomial row
+of its own (math.comb); it shares no code with the left side, which reads
+the binomial row of the higgs module.
 
 The right-hand average depends on gamma only through the count
 N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
@@ -54,11 +57,13 @@ rejected with ValueError.
 """
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
+from math import comb
 
 from . import higgs
 from ._record import Record
-from .exactpoly import BivarPoly, bivar_eval_signed_binomial
+from .exactpoly import BivarPoly, NonDivisible
 
 __all__ = [
     "Gamma2Element",
@@ -147,7 +152,7 @@ class Gamma2Element(Record):
     _fields = ("bits",)
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(map(operator.index, bits))
         if len(bits) == 0 or len(bits) % 2 != 0:
             raise ValueError("bit vector must have positive even length 2g")
         if any(b not in (0, 1) for b in bits):
@@ -292,20 +297,34 @@ def _check_genus(g: int) -> None:
         raise ValueError(f"genus must be at most {MAX_GENUS} for the mirror check, got {g}")
 
 
-def _averaged_prym(g: int, minus: int) -> BivarPoly:
+def _rhs_from_count(g: int, minus: int) -> BivarPoly:
     """
+    The right side for a gamma with N_-(gamma) = minus, written one
+    coefficient at a time from one binomial row.
+
     The local-system average (1/2^(2g)) sum over gamma' of
-    w(gamma, gamma') (1 + w u)^(g-1) (1 + w v)^(g-1), for a gamma with
-    N_-(gamma) = minus: 2^(2g) - minus terms have w = +1, the rest w = -1.
+    w(gamma, gamma') (1 + w u)^(g-1) (1 + w v)^(g-1) has 2^(2g) - minus
+    terms with w = +1 and minus terms with w = -1, so its coefficient of
+    u^p v^q is
+
+        ((2^(2g) - minus) - minus (-1)^(p+q)) C(g-1, p) C(g-1, q) / 2^(2g),
+
+    an exact division that raises NonDivisible on a remainder.  The sign
+    convention multiplies it by (-1)^(p+q), and the shift moves it to
+    u^(p+s) v^(q+s) with s = (g-1) + F.
     """
     total = 1 << (2 * g)
-    plus = total - minus
-    summed = plus * bivar_eval_signed_binomial(g, 1, 1) - minus * bivar_eval_signed_binomial(g, -1, -1)
-    return summed.divide_exact(total)
-
-
-def _rhs_from_count(g: int, minus: int) -> BivarPoly:
-    return _averaged_prym(g, minus).sign_twist().shift_uv((g - 1) + fermionic_shift(g))
+    shift = (g - 1) + fermionic_shift(g)
+    row = [comb(g - 1, p) for p in range(g)]
+    coeffs = {}
+    for p, a in enumerate(row):
+        for q, b in enumerate(row):
+            sign = -1 if (p + q) % 2 else 1
+            quot, rem = divmod(((total - minus) - minus * sign) * a * b, total)
+            if rem:
+                raise NonDivisible(f"coefficient of u^{p} v^{q} is not divisible by {total}")
+            coeffs[(p + shift, q + shift)] = sign * quot
+    return BivarPoly(coeffs)
 
 
 def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
@@ -365,14 +384,12 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
         gammas = (Gamma2Element.from_int(value, g) for value in values)
     lhs = e_poly_kappa_lhs(g)
     rhs_by_count = {}
-    rhs = None
-    for gamma, minus in _minus_counts(g, gammas):
+    for gamma, minus in _minus_counts(g, gammas):  # at least one gamma, so rhs is bound
         rhs = rhs_by_count.get(minus)
         if rhs is None:
             rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
         if rhs != lhs:
-            keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-            for key in keys:
+            for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
                 if lhs.coefficient(*key) != rhs.coefficient(*key):
                     raise IdentityViolation(g, gamma.bits, key, lhs.coefficient(*key), rhs.coefficient(*key))
     return MirrorReport(genus=g, elements_checked=sample, passed=True, lhs=lhs, rhs_sample=rhs)

@@ -26,6 +26,7 @@ Three calculations, all in exact integer (or rational) arithmetic:
 from __future__ import annotations
 
 import enum
+import operator
 from typing import NamedTuple
 
 from ._record import Record
@@ -75,7 +76,7 @@ class WeightProfile(Record):
     __slots__ = _fields = ("weights",)
 
     def __init__(self, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(operator.index, weights))
         if not weights:
             raise EmptyProfile("a weight profile must be nonempty")
         super().__init__(weights)
@@ -124,7 +125,8 @@ class FiltrationData(Record):
     __slots__ = _fields = ("blocks", "m", "g")
 
     def __init__(self, blocks, m: int, g: int):
-        blocks = tuple(Block(*b) for b in blocks)
+        blocks = tuple(Block(*map(operator.index, b)) for b in blocks)
+        m, g = operator.index(m), operator.index(g)
         if not blocks:
             raise ValueError("a filtration needs at least one block")
         if any(b.N < 1 for b in blocks):
@@ -137,7 +139,7 @@ class FiltrationData(Record):
             raise ValueError("weights must satisfy sum N_i a_i = 0")
         if g < 2:
             raise ValueError("genus must be at least 2")
-        super().__init__(blocks, int(m), int(g))
+        super().__init__(blocks, m, g)
 
     @property
     def N(self) -> int:

@@ -1,5 +1,4 @@
 """Exact-arithmetic kernel: polynomials, truncated series, bivariate polynomials."""
-import doctest
 import math
 import operator
 import tracemalloc
@@ -17,7 +16,6 @@ from higgsmoduli.exactpoly import (
     TailNonzero,
     TruncSeries,
     ZeroConstantTerm,
-    bivar_eval_signed_binomial,
     coeff_extract_x,
     poly_exact_div,
     series_expand,
@@ -67,11 +65,6 @@ coefficients = st.one_of(
     st.builds(lambda m, sign: sign * m, st.integers(HUGE, 2**640), st.sampled_from([1, -1])),
 )
 polys = st.lists(coefficients, max_size=12).map(IntPoly)
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(exactpoly)
-    assert failures == 0
 
 
 class TestIntPoly:
@@ -494,55 +487,6 @@ class TestBivarPoly:
         p = BivarPoly({(0, 0): 1, (1, 1): 0})
         assert p == BivarPoly({(0, 0): 1})
         assert p.coefficient(1, 1) == 0
-
-    def test_arithmetic(self):
-        p = BivarPoly({(1, 0): 2, (0, 1): 3})
-        q = BivarPoly({(1, 0): -2})
-        assert p - q == BivarPoly({(1, 0): 4, (0, 1): 3})
-        assert (p - p) == BivarPoly({})
-        assert p * 2 == BivarPoly({(1, 0): 4, (0, 1): 6})
-
-    def test_sign_twist(self):
-        p = BivarPoly({(1, 0): 1, (1, 1): 5, (2, 1): 7})
-        assert p.sign_twist() == BivarPoly({(1, 0): -1, (1, 1): 5, (2, 1): -7})
-
-    def test_shift_uv(self):
-        p = BivarPoly({(1, 0): 1})
-        assert p.shift_uv(2) == BivarPoly({(3, 2): 1})
-
-    def test_divide_exact(self):
-        p = BivarPoly({(0, 0): 4, (1, 2): -8})
-        assert p.divide_exact(4) == BivarPoly({(0, 0): 1, (1, 2): -2})
-        with pytest.raises(NonDivisible):
-            p.divide_exact(3)
-
-    def test_signed_binomial(self):
-        # (1+u)^{g-1} (1+v)^{g-1} expanded, g=3
-        p = bivar_eval_signed_binomial(3, 1, 1)
-        assert p.coefficient(0, 0) == 1
-        assert p.coefficient(1, 0) == 2
-        assert p.coefficient(1, 2) == 2
-        assert p.coefficient(2, 2) == 1
-        m = bivar_eval_signed_binomial(3, -1, 1)
-        assert m.coefficient(1, 0) == -2
-        assert m.coefficient(2, 0) == 1
-        with pytest.raises(ValueError):
-            bivar_eval_signed_binomial(3, 2, 1)
-        with pytest.raises(ValueError):
-            bivar_eval_signed_binomial(1, 1, 1)
-
-    def test_signed_binomial_reads_one_binomial_row(self, monkeypatch):
-        calls = 0
-
-        def counted(n, k):
-            nonlocal calls
-            calls += 1
-            return math.comb(n, k)
-
-        monkeypatch.setattr(exactpoly, "comb", counted)
-        p = bivar_eval_signed_binomial(10, 1, -1)
-        assert calls == 10
-        assert p.coefficient(3, 5) == -math.comb(9, 3) * math.comb(9, 5)
 
     def test_to_sorted_dict(self):
         p = BivarPoly({(10, 3): 1, (2, 1): -2})

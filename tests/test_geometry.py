@@ -40,6 +40,26 @@ class TestModuliParams:
             ModuliParams(2, 1, 2, group="SO")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ModuliParams(2.5, 1, 2),
+        lambda: ModuliParams(2, "1", 2),
+        lambda: ModuliParams(2, 1, 2.0),
+        lambda: spectral_numbers(2.5, 2, 1),
+        lambda: spectral_numbers(2, 2, 1.5),
+        lambda: hitchin_base_dim(2, 3.5),
+        lambda: hilbert_poly(2, 1, 2, 0.5),
+    ],
+    ids=["params-rank", "params-degree", "params-genus", "spectral-rank", "spectral-degree",
+         "base-genus", "hilbert-twist"],
+)
+def test_non_integer_input_raises_type_error(call):
+    # r, d, g and n are read with operator.index, never truncated or carried into the formulas
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestModuliDim:
     def test_rank_two_genus_two(self):
         p = ModuliParams(2, 1, 2)

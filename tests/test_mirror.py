@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import higgsmoduli.mirror as mirror_mod
 from higgsmoduli import cli, higgs
-from higgsmoduli.exactpoly import BivarPoly, bivar_eval_signed_binomial
+from higgsmoduli.exactpoly import BivarPoly, NonDivisible
 from higgsmoduli.mirror import (
     Gamma2Element,
     IdentityViolation,
@@ -161,12 +161,13 @@ class TestLhs:
 
 def hand_written_lhs(g):
     """The left side as a direct sum: (uv)^(3g-3) times -C(g-1,p) C(g-1,q) u^p v^q over odd p+q."""
+    shift = 3 * g - 3
     coeffs = {}
     for p in range(g):
         for q in range(g):
             if (p + q) % 2 == 1:
-                coeffs[(p, q)] = -math.comb(g - 1, p) * math.comb(g - 1, q)
-    return BivarPoly(coeffs).shift_uv(3 * g - 3)
+                coeffs[(p + shift, q + shift)] = -math.comb(g - 1, p) * math.comb(g - 1, q)
+    return BivarPoly(coeffs)
 
 
 def pascal_row(sign, n):
@@ -186,6 +187,22 @@ def half_difference_lhs(g):
             twice = minus[p] * minus[q] - plus[p] * plus[q]
             assert twice % 2 == 0
             coeffs[(p + 3 * g - 3, q + 3 * g - 3)] = twice // 2
+    return BivarPoly(coeffs)
+
+
+def pascal_rhs(g, minus):
+    """
+    The right side for a count N_-(gamma) = minus, by Pascal's rule:
+    (uv)^(3g-3) [(4^g - minus) (1-u)^(g-1) (1-v)^(g-1) - minus (1+u)^(g-1) (1+v)^(g-1)] / 4^g.
+    """
+    total = 4**g
+    twisted, plain = pascal_row(-1, g - 1), pascal_row(1, g - 1)
+    coeffs = {}
+    for p in range(g):
+        for q in range(g):
+            summed = (total - minus) * twisted[p] * twisted[q] - minus * plain[p] * plain[q]
+            assert summed % total == 0
+            coeffs[(p + 3 * g - 3, q + 3 * g - 3)] = summed // total
     return BivarPoly(coeffs)
 
 
@@ -241,21 +258,52 @@ class TestLhsFromFixedLoci:
 
 
 class TestPrym:
-    """The Prym E-polynomial (1+u)^(g-1) (1+v)^(g-1) that the right side averages."""
+    """
+    The right side at N_-(gamma) = 0 is the Prym E-polynomial
+    (1+u)^(g-1) (1+v)^(g-1) with the sign twist and the shift (uv)^(3g-3):
+    (uv)^(3g-3) (1-u)^(g-1) (1-v)^(g-1).
+    """
 
     def test_genus_four_example(self):
-        assert bivar_eval_signed_binomial(4, 1, 1).coefficient(2, 1) == 9
+        row = pascal_row(-1, 3)
+        assert mirror_mod._rhs_from_count(4, 0).coefficient(2 + 9, 1 + 9) == row[2] * row[1] == -9
 
     def test_symmetric_in_u_v(self):
         for g in (2, 3, 4, 5):
-            p = bivar_eval_signed_binomial(g, 1, 1)
+            p = mirror_mod._rhs_from_count(g, 0)
             for (a, b), c in p.monomials():
                 assert p.coefficient(b, a) == c
 
     def test_value_at_one_one(self):
-        # 2^{2g-2} points-worth of cohomology collapses at u=v=1
+        # the untwisted sum has 2^(2g-2) points-worth of cohomology at u = v = 1
         for g in (2, 3, 4):
-            assert sum(bivar_eval_signed_binomial(g, 1, 1).coeffs.values()) == 4 ** (g - 1)
+            p = mirror_mod._rhs_from_count(g, 0)
+            assert sum((-1) ** (a + b) * c for (a, b), c in p.monomials()) == 4 ** (g - 1)
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    @pytest.mark.parametrize("half", [False, True], ids=["minus=0", "minus=half"])
+    def test_matches_the_pascal_oracle(self, g, half):
+        minus = (1 << (2 * g - 1)) if half else 0
+        assert mirror_mod._rhs_from_count(g, minus) == pascal_rhs(g, minus)
+
+    def test_reads_one_binomial_row(self, monkeypatch):
+        calls = 0
+
+        def counted(n, k):
+            nonlocal calls
+            calls += 1
+            return math.comb(n, k)
+
+        monkeypatch.setattr(mirror_mod, "comb", counted)
+        p = mirror_mod._rhs_from_count(10, 0)
+        assert calls == 10
+        assert p.coefficient(3 + 27, 4 + 27) == -math.comb(9, 3) * math.comb(9, 4)
+
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    def test_count_that_is_not_a_character_count_is_not_divisible(self, g):
+        # 4^g - 2 over 4^g at u^0 v^0: the average of a count no pairing gives is not integral
+        with pytest.raises(NonDivisible, match=f"divisible by {4**g}"):
+            mirror_mod._rhs_from_count(g, 1)
 
 
 class TestRhs:

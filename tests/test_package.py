@@ -2,6 +2,7 @@
 import doctest
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,6 @@ from pathlib import Path
 import pytest
 
 import higgsmoduli
-import higgsmoduli.exactpoly
-import higgsmoduli.higgs
-import higgsmoduli.mirror
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
@@ -100,19 +98,14 @@ def test_package_exports_resolve():
         assert hasattr(higgsmoduli, name), name
 
 
-def test_exactpoly_doctests():
-    results = doctest.testmod(higgsmoduli.exactpoly)
+# Every module of the package, so a doctest added anywhere runs; the modules
+# that have examples keep a floor on how many, so they cannot quietly vanish.
+MODULES = ["higgsmoduli", *(f"higgsmoduli.{m.name}" for m in pkgutil.iter_modules(higgsmoduli.__path__))]
+MIN_DOCTESTS = {"higgsmoduli.exactpoly": 7, "higgsmoduli.higgs": 1, "higgsmoduli.mirror": 3}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    results = doctest.testmod(importlib.import_module(name))
     assert results.failed == 0
-    assert results.attempted >= 7
-
-
-def test_higgs_doctests():
-    results = doctest.testmod(higgsmoduli.higgs)
-    assert results.failed == 0
-    assert results.attempted >= 1
-
-
-def test_mirror_doctests():
-    results = doctest.testmod(higgsmoduli.mirror)
-    assert results.failed == 0
-    assert results.attempted >= 3
+    assert results.attempted >= MIN_DOCTESTS.get(name, 0)

@@ -129,6 +129,27 @@ def test_copies_are_equal(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+# Two builds of each record from a float or a string where an integer belongs.
+NON_INTEGER = {
+    "BivarPoly": (lambda: BivarPoly({(1.5, 0): 1}), lambda: BivarPoly({(1, "0"): 1})),
+    "Gamma2Element": (lambda: Gamma2Element((0.5, 0)), lambda: Gamma2Element(("1", "0"))),
+    "HNType": (lambda: HNType([(1.5, 0), (1, -1)]), lambda: HNType([(1, "0"), (1, -1)])),
+    "WeightProfile": (lambda: WeightProfile([0.5, -0.5]), lambda: WeightProfile(["1", "-1"])),
+    "FiltrationData": (
+        lambda: FiltrationData([(1, 1, 1, 0), (1, -1, 1, 1)], m=5.9, g=2.7),
+        lambda: FiltrationData([(1, 1, 1, "0"), (1, -1, 1, 1)], m=5, g=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER)
+def test_non_integer_input_raises_type_error(name):
+    # read with operator.index: never truncated, never parsed from text
+    for build in NON_INTEGER[name]:
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_records_of_different_classes_are_never_equal():
     # equal field values, different classes
     poly, gamma = IntPoly([0, 1]), Gamma2Element((0, 1))
