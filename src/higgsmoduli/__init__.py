@@ -13,26 +13,24 @@ package (or its command line) loads only the modules a caller touches.
 
 _EXPORTS = {
     "exactpoly": (
-        "BivarPoly", "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries",
-        "ZeroConstantTerm", "coeff_extract_x", "poly_exact_div", "series_expand",
+        "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries", "ZeroConstantTerm",
+        "coeff_extract_x", "poly_exact_div", "series_expand",
     ),
     "bundles": (
         "classifying_space_poly", "poincare_N_closed", "poincare_N_recursion",
         "recursion_strata_count", "strata_equivariant_poly",
     ),
-    "higgs": (
-        "DegreeOverflow", "bb_codimension", "fixed_locus_poincare",
-        "poincare_M_closed", "poincare_M_stratified", "variant_hodge_numbers",
-    ),
+    "strata": ("bb_codimension", "hn_codim_rank2", "variant_hodge_numbers"),
+    "higgs": ("DegreeOverflow", "fixed_locus_poincare", "poincare_M_closed", "poincare_M_stratified"),
     "mirror": (
-        "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
+        "BivarPoly", "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
         "PairingNotAlternating", "PairingNotBilinear", "TrivialElement", "e_poly_kappa_lhs",
         "e_poly_rhs", "fermionic_shift", "mirror_verify", "weil_pairing",
     ),
     "geometry": (
         "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",
-        "UnsupportedCombination", "hilbert_poly", "hitchin_base_dim", "hn_codim_rank2",
-        "hn_leq", "moduli_dim", "spectral_numbers",
+        "UnsupportedCombination", "hilbert_poly", "hitchin_base_dim", "hn_leq",
+        "moduli_dim", "spectral_numbers",
     ),
     "stability": (
         "Block", "EmptyProfile", "ExpressionMismatch", "FiltrationData",

@@ -28,7 +28,9 @@ degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 """
 from __future__ import annotations
 
+from . import strata
 from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand, shifted_sum
+from .strata import _check_genus
 
 __all__ = [
     "poincare_N_closed",
@@ -44,11 +46,6 @@ _ONE_MINUS_T2 = IntPoly([1, 0, -1])
 _ONE_MINUS_T4 = IntPoly([1, 0, 0, 0, -1])
 # (1-t^2)(1-t^4), the denominator of both closed forms: Harder-Narasimhan's and Hitchin's.
 _HN_DENOM = _ONE_MINUS_T2 * _ONE_MINUS_T4
-
-
-def _check_genus(g: int) -> None:
-    if g < 2:
-        raise ValueError("genus must be at least 2")
 
 
 def poincare_N_closed(g: int) -> IntPoly:
@@ -96,17 +93,13 @@ def _working_order(g: int, order: int | None) -> int:
 
 
 def _strata_codims(g: int, window: int) -> list[int]:
-    # Imported here, at its only use, so that the closed forms, the Higgs
-    # pipelines and the mirror (which imports higgs, which imports this
-    # module) do not load geometry.  The import reads the module attribute at
-    # each call, so a wrapper installed on geometry.hn_codim_rank2 is called.
-    from .geometry import hn_codim_rank2
-
+    # Read through the module at each call, so a wrapper installed on
+    # strata.hn_codim_rank2 is called.
     codims = []
-    codim = hn_codim_rank2(g, 1)
+    codim = strata.hn_codim_rank2(g, 1)
     while codim < window:
         codims.append(codim)
-        codim = hn_codim_rank2(g, len(codims) + 1)
+        codim = strata.hn_codim_rank2(g, len(codims) + 1)
     return codims
 
 

@@ -3,10 +3,10 @@ Exact polynomial and power-series arithmetic over the integers.
 
 Everything downstream is bookkeeping with generating functions, so this module
 is deliberately small and strict: dense integer polynomials in one variable t
-(the carrier for Poincare polynomials), truncated power series in t (the
-carrier for rational-function expansions whose tails must cancel), and sparse
-integer polynomials in two variables u, v (the carrier for E-polynomials, a
-value record with no arithmetic of its own).
+(the carrier for Poincare polynomials) and truncated power series in t (the
+carrier for rational-function expansions whose tails must cancel).  The
+E-polynomials of the mirror check, sparse in two variables u, v, are a value
+record of the mirror module, with no arithmetic of their own.
 All coefficients are arbitrary-precision Python integers; there is no
 floating point and no rounding anywhere.
 
@@ -452,54 +452,3 @@ def _parity_prefix(g: int, top: int) -> list[int]:
     _PARITY_PREFIX.clear()
     _PARITY_PREFIX[g] = prefix, binom
     return prefix
-
-
-class BivarPoly(Record):
-    """
-    A sparse polynomial in u and v with integer coefficients, held as a
-    value: a validated map from exponent pairs (p, q) to the coefficient of
-    u^p v^q.  It does no arithmetic; whoever builds one writes each
-    coefficient.
-
-    The coefficient map never stores zeros, so equality of maps is equality
-    of polynomials.  Unlike the other records it is mutable, so unhashable.
-    """
-
-    __slots__ = _fields = ("coeffs",)
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, coeffs=None):
-        clean: dict[tuple[int, int], int] = {}
-        for (p, q), c in (coeffs or {}).items():
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients only, got {c!r}")
-            key = operator.index(p), operator.index(q)
-            if min(key) < 0:
-                raise ValueError("exponents must be nonnegative")
-            if c != 0:
-                clean[key] = c
-        self.coeffs = clean
-
-    def coefficient(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
-
-    def monomials(self):
-        """Items in a stable (sorted) order."""
-        return sorted(self.coeffs.items())
-
-    def to_sorted_dict(self) -> dict[str, int]:
-        """Keys "p,q" in sorted exponent order (JSON-friendly)."""
-        return {f"{p},{q}": c for (p, q), c in self.monomials()}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "BivarPoly('0')"
-        parts = []
-        for (p, q), c in self.monomials():
-            term = "".join(
-                [f"u^{p}" if p > 1 else "u" if p == 1 else "", f"v^{q}" if q > 1 else "v" if q == 1 else ""]
-            ) or "1"
-            parts.append(f"{c:+d} {term}")
-        return f"BivarPoly('{' '.join(parts)}')"

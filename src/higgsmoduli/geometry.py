@@ -10,6 +10,10 @@ of twisted bundles, and the Shatz partial order on Harder-Narasimhan types.
 
 Slopes are exact rationals (fractions.Fraction); no floating point is used,
 so order comparisons between types are exact.
+
+The codimensions of the Harder-Narasimhan strata that the Atiyah-Bott
+recursion peels off are not here: they live with the other stratification
+data in the strata module, so no Poincare call loads this one.
 """
 from __future__ import annotations
 
@@ -201,15 +205,3 @@ def hn_leq(a: HNType, b: HNType) -> bool:
         if pa > pb:
             return False
     return True
-
-
-def hn_codim_rank2(g: int, k: int) -> int:
-    """
-    Complex codimension 2g + 4k - 4 of the stratum of holomorphic structures
-    of Harder-Narasimhan type (k+1, -k) on a rank-2, degree-1 bundle.
-    """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return 2 * g + 4 * k - 4

@@ -24,11 +24,11 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
   the weight is forced by where the classes live, and only with it does the
   stratified sum reproduce the closed form below.
 
-  variant_hodge_numbers is the one table of these classes.  It has two
-  readers: fixed_locus_poincare sums it into the cover term (u = v = t), and
-  the mirror module dualises it, at the codimensions of bb_codimension, into
-  the left side of the mirror identity.  An error in either function
-  therefore reaches both checks.
+  The table of those classes, strata.variant_hodge_numbers, and the
+  codimensions, strata.bb_codimension, live in the strata module, and this
+  module reads both through it at call time.  The mirror module dualises
+  the same table, at the same codimensions, into the left side of the
+  mirror identity, so an error in either function reaches both checks.
 
 * Hitchin's closed form: four terms, three of them infinite series over
   the Harder-Narasimhan denominator (1-t^2)(1-t^4) whose sum is a
@@ -37,17 +37,14 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
 """
 from __future__ import annotations
 
-import functools
-import operator
-
-from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, _check_genus, poincare_N_closed
+from . import strata
+from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
 from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div, shifted_sum
+from .strata import _check_genus, _check_stratum
 
 __all__ = [
     "DegreeOverflow",
-    "variant_hodge_numbers",
     "fixed_locus_poincare",
-    "bb_codimension",
     "poincare_M_stratified",
     "poincare_M_closed",
 ]
@@ -57,67 +54,23 @@ class DegreeOverflow(ArithmeticError):
     """A stratum contribution exceeded the middle-dimension degree bound."""
 
 
-def _check_stratum(g: int, k: int) -> int:
-    """Nontrivial fixed loci are indexed by k = 1 .. g-1; returns kbar = 2g - 2k - 1."""
-    _check_genus(g)
-    if not 1 <= k <= g - 1:
-        raise ValueError(f"k must lie in 1 .. {g - 1}")
-    return 2 * g - 2 * k - 1
-
-
-@functools.lru_cache(maxsize=1)
-def _binomial_row(g: int) -> tuple[int, ...]:
-    """
-    C(g-1, c) for c = 0 .. 2g-3: the coefficients of (1+t)^(g-1), padded
-    with zeros so that every index kbar - p of variant_hodge_numbers reads
-    it.  One row serves the g - 1 fixed loci of a genus.
-    """
-    return (_ONE_PLUS_T ** (g - 1)).coeffs + (0,) * (g - 2)
-
-
-def variant_hodge_numbers(g: int, k: int) -> list[int]:
-    """
-    The Hodge numbers h^(p, kbar-p) = C(g-1, p) C(g-1, kbar-p), p = 0 .. kbar,
-    of the classes one nontrivial cover sector of F_k adds: the kbar-th
-    exterior power of H^1 of a 2-torsion local system, whose Hodge numbers
-    are those of a (g-1)-dimensional abelian variety.  The list sums to
-    C(2g-2, kbar) and reads the same backwards.
-
-    >>> variant_hodge_numbers(3, 1)
-    [0, 2, 2, 0]
-    """
-    kbar = _check_stratum(g, k)
-    row = _binomial_row(g)
-    return list(map(operator.mul, row[:kbar + 1], row[kbar::-1]))
-
-
 def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     """
     Poincare polynomial of the fixed locus F_k:
     P_t(S^kbar X) + (2^(2g) - 1) t^kbar sum_p h^(p, kbar-p), with
     kbar = 2g - 2k - 1 an odd number between 1 and 2g - 3: the cover term
-    is the table of variant_hodge_numbers at u = v = t.
+    is the table of strata.variant_hodge_numbers at u = v = t.
     """
     kbar = _check_stratum(g, k)
-    covers = (2 ** (2 * g) - 1) * sum(variant_hodge_numbers(g, k))
+    covers = (2 ** (2 * g) - 1) * sum(strata.variant_hodge_numbers(g, k))
     return shifted_sum([(0, coeff_extract_x(g, kbar).coeffs), (kbar, (covers,))])
-
-
-def bb_codimension(g: int, k: int) -> int:
-    """
-    Real codimension 2(g + 2k - 2) of the stratum flowing down to F_k.  With
-    kbar from fixed_locus_poincare, kbar + (g + 2k - 2) = 3g - 3 ties the
-    stratum weights to the middle dimension.
-    """
-    _check_stratum(g, k)
-    return 2 * (g + 2 * k - 2)
 
 
 def _bb_summands(g: int):
     # (shift, coefficients) of each summand, built only when the sum reads it
     yield 0, poincare_N_closed(g).coeffs
     for k in range(1, g):
-        yield bb_codimension(g, k), fixed_locus_poincare(g, k).coeffs
+        yield strata.bb_codimension(g, k), fixed_locus_poincare(g, k).coeffs
 
 
 def poincare_M_stratified(g: int) -> IntPoly:

@@ -13,8 +13,8 @@ The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 * the variant part of the E-polynomial of the SL_2 Higgs moduli space for a
   nontrivial character kappa.  It lives on the fixed loci F_k of the circle
   action, and is read from the same table the Betti pipeline uses:
-  higgs.variant_hodge_numbers gives the variant Hodge numbers of F_k and
-  higgs.bb_codimension where F_k is attached.  The compactly supported
+  strata.variant_hodge_numbers gives the variant Hodge numbers of F_k and
+  strata.bb_codimension where F_k is attached.  The compactly supported
   E-polynomial is the dual (uv)^(6g-6) E(1/u, 1/v) of those classes;
 
 * the gamma-sector of the stringy E-polynomial of the PGL_2 space: the
@@ -28,7 +28,10 @@ monomial u^p v^q by (-1)^(p+q); concretely the sign arrives on the left as
 substitution (u, v) -> (-u, -v) on the bare Hodge sum.  The right side is
 written in one pass, each of its g^2 coefficients once, from a binomial row
 of its own (math.comb); it shares no code with the left side, which reads
-the binomial row of the higgs module.
+the binomial row of the strata module.  Both sides are BivarPoly records, a
+sparse map from (p, q) to the coefficient of u^p v^q that each side writes
+directly, so the check loads neither the polynomial kernel nor the Betti
+pipelines.
 
 The right-hand average depends on gamma only through the count
 N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
@@ -61,11 +64,11 @@ import operator
 from collections import defaultdict
 from math import comb
 
-from . import higgs
+from . import strata
 from ._record import Record
-from .exactpoly import BivarPoly, NonDivisible
 
 __all__ = [
+    "BivarPoly",
     "Gamma2Element",
     "LengthMismatch",
     "TrivialElement",
@@ -130,6 +133,57 @@ class PairingNotBilinear(_CheckFailure):
         super().__init__(genus, gamma_bits,
                          "the basis rows it combines sum to zero, but its own row is not zero; "
                          "the pairing is not linear in its first argument")
+
+
+class BivarPoly(Record):
+    """
+    A sparse polynomial in u and v with integer coefficients, held as a
+    value: a validated map from exponent pairs (p, q) to the coefficient of
+    u^p v^q.  It does no arithmetic; whoever builds one writes each
+    coefficient.
+
+    The coefficient map never stores zeros, so equality of maps is equality
+    of polynomials.  Unlike the other records it is mutable, so unhashable.
+    """
+
+    __slots__ = _fields = ("coeffs",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, coeffs=None):
+        clean: dict[tuple[int, int], int] = {}
+        for (p, q), c in (coeffs or {}).items():
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficients only, got {c!r}")
+            key = operator.index(p), operator.index(q)
+            if min(key) < 0:
+                raise ValueError("exponents must be nonnegative")
+            if c != 0:
+                clean[key] = c
+        self.coeffs = clean
+
+    def coefficient(self, p: int, q: int) -> int:
+        return self.coeffs.get((p, q), 0)
+
+    def monomials(self):
+        """Items in a stable (sorted) order."""
+        return sorted(self.coeffs.items())
+
+    def to_sorted_dict(self) -> dict[str, int]:
+        """Keys "p,q" in sorted exponent order (JSON-friendly)."""
+        return {f"{p},{q}": c for (p, q), c in self.monomials()}
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "BivarPoly('0')"
+        parts = []
+        for (p, q), c in self.monomials():
+            term = "".join(
+                [f"u^{p}" if p > 1 else "u" if p == 1 else "", f"v^{q}" if q > 1 else "v" if q == 1 else ""]
+            ) or "1"
+            parts.append(f"{c:+d} {term}")
+        return f"BivarPoly('{' '.join(parts)}')"
 
 
 class Gamma2Element(Record):
@@ -205,8 +259,7 @@ def fermionic_shift(g: int) -> int:
     complex codimension (6g-6) - (2g-2) of the gamma-fixed locus, since the
     gamma-action preserves the holomorphic symplectic form.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    strata._check_genus(g)
     return 2 * g - 2
 
 
@@ -219,16 +272,16 @@ def e_poly_kappa_lhs(g: int) -> BivarPoly:
     codimension c = bb_codimension(g, k) / 2, lands on
     u^(6g-6-c-p) v^(6g-6-c-q).
 
-    Both functions are read through the higgs module at call time, so the
+    Both functions are read through the strata module at call time, so the
     mirror check sees exactly the geometry the Betti pipeline uses.
     """
-    higgs._check_genus(g)
+    strata._check_genus(g)
     # Two strata put classes on one monomial only if their codimensions are
     # wrong; the dual is still the sum, so the classes add.
     coeffs = defaultdict(int)
     for k in range(1, g):
-        top = 6 * g - 6 - higgs.bb_codimension(g, k) // 2
-        hodge = higgs.variant_hodge_numbers(g, k)
+        top = 6 * g - 6 - strata.bb_codimension(g, k) // 2
+        hodge = strata.variant_hodge_numbers(g, k)
         for p, h in enumerate(hodge):
             q = len(hodge) - 1 - p
             coeffs[(top - p, top - q)] += (-1) ** (p + q) * h
@@ -292,7 +345,7 @@ def _certificate(g: int) -> Gamma2Element:
 
 def _check_genus(g: int) -> None:
     """The right side is computed for 2 <= g <= MAX_GENUS only."""
-    higgs._check_genus(g)
+    strata._check_genus(g)
     if g > MAX_GENUS:
         raise ValueError(f"genus must be at most {MAX_GENUS} for the mirror check, got {g}")
 
@@ -322,6 +375,8 @@ def _rhs_from_count(g: int, minus: int) -> BivarPoly:
             sign = -1 if (p + q) % 2 else 1
             quot, rem = divmod(((total - minus) - minus * sign) * a * b, total)
             if rem:
+                from .exactpoly import NonDivisible
+
                 raise NonDivisible(f"coefficient of u^{p} v^{q} is not divisible by {total}")
             coeffs[(p + shift, q + shift)] = sign * quot
     return BivarPoly(coeffs)

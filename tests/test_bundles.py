@@ -117,9 +117,9 @@ class TestRecursion:
     @pytest.mark.parametrize("g", range(2, 13))
     def test_one_codimension_call_per_stratum(self, monkeypatch, g):
         # one per kept stratum, plus the first one past the window
-        from higgsmoduli import geometry
+        from higgsmoduli import strata
 
-        codim = geometry.hn_codim_rank2
+        codim = strata.hn_codim_rank2
         calls = 0
 
         def counting(g, k):
@@ -127,7 +127,7 @@ class TestRecursion:
             calls += 1
             return codim(g, k)
 
-        monkeypatch.setattr(geometry, "hn_codim_rank2", counting)
+        monkeypatch.setattr(strata, "hn_codim_rank2", counting)
         assert poincare_N_recursion(g) == poincare_N_closed(g)
         made = calls  # read before recursion_strata_count adds its own calls
         assert made == recursion_strata_count(g) + 1

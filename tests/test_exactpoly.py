@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernel: polynomials, truncated series, bivariate polynomials."""
+"""Exact-arithmetic kernel: polynomials and truncated series; the mirror's bivariate record."""
 import math
 import operator
 import tracemalloc
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import higgsmoduli.exactpoly as exactpoly
 from higgsmoduli.bundles import poincare_N_closed, poincare_N_recursion
 from higgsmoduli.exactpoly import (
-    BivarPoly,
     IntPoly,
     NonDivisible,
     TailNonzero,
@@ -22,6 +21,7 @@ from higgsmoduli.exactpoly import (
     shifted_sum,
 )
 from higgsmoduli.higgs import poincare_M_closed, poincare_M_stratified
+from higgsmoduli.mirror import BivarPoly
 
 ONE_PLUS_T = IntPoly([1, 1])
 ONE_MINUS_T = IntPoly([1, -1])

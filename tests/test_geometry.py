@@ -12,11 +12,11 @@ from higgsmoduli.geometry import (
     UnsupportedCombination,
     hilbert_poly,
     hitchin_base_dim,
-    hn_codim_rank2,
     hn_leq,
     moduli_dim,
     spectral_numbers,
 )
+from higgsmoduli.strata import hn_codim_rank2
 
 
 def hitchin_base_dim_by_terms(r, g, reduced):

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsmoduli import higgs
+from higgsmoduli import higgs, strata
 from higgsmoduli.bundles import poincare_N_closed
 from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
-from higgsmoduli.higgs import (
-    DegreeOverflow,
-    bb_codimension,
-    fixed_locus_poincare,
-    poincare_M_closed,
-    poincare_M_stratified,
-    variant_hodge_numbers,
-)
+from higgsmoduli.higgs import DegreeOverflow, fixed_locus_poincare, poincare_M_closed, poincare_M_stratified
+from higgsmoduli.strata import bb_codimension, variant_hodge_numbers
 
 M_G2 = IntPoly([1, 0, 1, 4, 2, 34, 2])
 
@@ -128,10 +122,8 @@ class TestStratifiedSum:
     @pytest.mark.parametrize("g", [2, 3, 10])
     def test_stratum_past_the_middle_dimension_overflows(self, monkeypatch, g):
         # a codimension two too large lifts the k = 1 summand past 6g - 6
-        import higgsmoduli.higgs as higgs
-
-        original = higgs.bb_codimension
-        monkeypatch.setattr(higgs, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
+        original = strata.bb_codimension
+        monkeypatch.setattr(strata, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
         with pytest.raises(DegreeOverflow):
             poincare_M_stratified(g)
 

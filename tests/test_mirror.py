@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import higgsmoduli.mirror as mirror_mod
-from higgsmoduli import cli, higgs
-from higgsmoduli.exactpoly import BivarPoly, NonDivisible
+from higgsmoduli import cli, strata
+from higgsmoduli.exactpoly import NonDivisible
 from higgsmoduli.mirror import (
+    BivarPoly,
     Gamma2Element,
     IdentityViolation,
     LengthMismatch,
@@ -208,13 +209,13 @@ def pascal_rhs(g, minus):
 
 def shifted_first_codimension(monkeypatch):
     """Mutant: the stratum over F_1 attached two real dimensions too deep."""
-    original = higgs.bb_codimension
-    monkeypatch.setattr(higgs, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
+    original = strata.bb_codimension
+    monkeypatch.setattr(strata, "bb_codimension", lambda g, k: original(g, k) + (2 if k == 1 else 0))
 
 
 def moved_hodge_unit(monkeypatch):
     """Mutant: one class of type (kbar, 0) moved to type (0, kbar); every sum is kept."""
-    original = higgs.variant_hodge_numbers
+    original = strata.variant_hodge_numbers
 
     def moved(g, k):
         hodge = original(g, k)
@@ -222,7 +223,7 @@ def moved_hodge_unit(monkeypatch):
         hodge[-1] -= 1
         return hodge
 
-    monkeypatch.setattr(higgs, "variant_hodge_numbers", moved)
+    monkeypatch.setattr(strata, "variant_hodge_numbers", moved)
 
 
 class TestLhsFromFixedLoci:

@@ -49,19 +49,34 @@ def test_light_call_loads_only_its_layer(argv, layer):
     assert modules & HEAVY == set()
 
 
+# Every higgsmoduli module a call holds after it runs, beyond the package and
+# its command line, so a subcommand's import graph cannot quietly grow.
+POINCARE = ["_record", "exactpoly", "strata", "bundles"]
+MIRROR = ["_record", "strata", "mirror"]
+
+
 @pytest.mark.parametrize(
-    "argv, loads_geometry",
+    "argv, layers",
     [
-        (["mirror", "--genus", "2"], False),
-        (["poincare", "--space", "higgs", "--genus", "3"], False),
-        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "recursion"], True),
+        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "recursion"], POINCARE),
+        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"], POINCARE),
+        (["poincare", "--space", "higgs", "--genus", "3"], [*POINCARE, "higgs"]),
+        (["mirror", "--genus", "3"], MIRROR),
+        (["mirror", "--genus", "3", "--sample", "5"], MIRROR),
+        (["dims", "--rank", "2", "--genus", "3"], ["_record", "geometry"]),
+        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"], ["_record", "geometry"]),
+        (["git", "classify", "--weights", "1,-1"], ["_record", "geometry", "stability"]),
+        (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "2"],
+         ["_record", "geometry", "stability"]),
+        (["macdonald", "--genus", "3", "--n", "3"], ["_record", "exactpoly"]),
     ],
-    ids=["mirror", "higgs", "recursion"],
+    ids=["recursion", "closed", "higgs", "mirror", "mirror-sample", "dims", "spectral",
+         "git-classify", "git-hm", "macdonald"],
 )
-def test_geometry_loads_only_for_the_recursion(argv, loads_geometry):
-    # only the Atiyah-Bott recursion reads geometry (hn_codim_rank2)
+def test_call_loads_exactly_its_modules(argv, layers):
     modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 0")
-    assert ("higgsmoduli.geometry" in modules) == loads_geometry
+    held = {m for m in modules if m.partition(".")[0] == "higgsmoduli"}
+    assert held == {"higgsmoduli", "higgsmoduli.cli", *(f"higgsmoduli.{m}" for m in layers)}
 
 
 def test_value_above_a_cap_is_rejected_before_any_layer_loads():
@@ -86,7 +101,7 @@ def test_names_resolve_lazily():
         higgsmoduli.no_such_name
 
 
-@pytest.mark.parametrize("name", ["bundles", "higgs", "mirror", "stability"])
+@pytest.mark.parametrize("name", ["bundles", "higgs", "mirror", "stability", "strata"])
 def test_submodule_exports_are_package_exports(name):
     # both directions, so a deleted name cannot stay behind in either list
     module = importlib.import_module(f"higgsmoduli.{name}")
@@ -98,10 +113,28 @@ def test_package_exports_resolve():
         assert hasattr(higgsmoduli, name), name
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("hn_codim_rank2", (2.5, 1)),
+        ("hn_codim_rank2", (3, 1.5)),
+        ("fermionic_shift", (2.5,)),
+        ("bb_codimension", (3, 1.5)),
+        ("recursion_strata_count", (2.0,)),
+    ],
+    ids=["hn_codim_rank2-genus", "hn_codim_rank2-k", "fermionic_shift", "bb_codimension",
+         "recursion_strata_count"],
+)
+def test_numeric_functions_reject_a_non_integer(name, args):
+    # a float or a string is refused, not truncated or carried into a formula
+    with pytest.raises(TypeError):
+        getattr(higgsmoduli, name)(*args)
+
+
 # Every module of the package, so a doctest added anywhere runs; the modules
 # that have examples keep a floor on how many, so they cannot quietly vanish.
 MODULES = ["higgsmoduli", *(f"higgsmoduli.{m.name}" for m in pkgutil.iter_modules(higgsmoduli.__path__))]
-MIN_DOCTESTS = {"higgsmoduli.exactpoly": 7, "higgsmoduli.higgs": 1, "higgsmoduli.mirror": 3}
+MIN_DOCTESTS = {"higgsmoduli.exactpoly": 7, "higgsmoduli.mirror": 3, "higgsmoduli.strata": 1}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from higgsmoduli.exactpoly import BivarPoly, IntPoly, TruncSeries
+from higgsmoduli.exactpoly import IntPoly, TruncSeries
 from higgsmoduli.geometry import HNType, ModuliParams
-from higgsmoduli.mirror import Gamma2Element, MirrorReport
+from higgsmoduli.mirror import BivarPoly, Gamma2Element, MirrorReport
 from higgsmoduli.stability import FiltrationData, WeightProfile
 
 
