@@ -28,6 +28,8 @@ degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 """
 from __future__ import annotations
 
+import operator
+
 from . import strata
 from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand, shifted_sum
 from .strata import _check_genus
@@ -87,7 +89,7 @@ def _working_order(g: int, order: int | None) -> int:
     minimum = 8 * g - 5
     if order is None:
         return 8 * g
-    if order < minimum:
+    if operator.index(order) < minimum:
         raise ValueError(f"truncation order must be at least {minimum} for genus {g}")
     return order
 

@@ -121,12 +121,13 @@ def test_package_exports_resolve():
         ("fermionic_shift", (2.5,)),
         ("bb_codimension", (3, 1.5)),
         ("recursion_strata_count", (2.0,)),
+        ("recursion_strata_count", (3, 30.0)),
     ],
     ids=["hn_codim_rank2-genus", "hn_codim_rank2-k", "fermionic_shift", "bb_codimension",
-         "recursion_strata_count"],
+         "recursion_strata_count-genus", "recursion_strata_count-order"],
 )
 def test_numeric_functions_reject_a_non_integer(name, args):
-    # a float or a string is refused, not truncated or carried into a formula
+    # a float is refused, not truncated or carried into a formula
     with pytest.raises(TypeError):
         getattr(higgsmoduli, name)(*args)
 
