@@ -1,10 +1,10 @@
 """
 Command-line surface.
 
-Each subcommand is declared once: its arguments, then --format, and its
-handler.  A handler calls the computation module and returns its outputs, a
-JSON payload and the plain and LaTeX texts; run prints the one that --format
-names.  Exit codes are meant for scripted pipelines:
+Each subcommand is declared once, in COMMANDS: its words, help, handler and
+arguments, then --format.  A handler calls the computation module and returns
+its outputs, a JSON payload and the plain and LaTeX texts; run prints the one
+that --format names.  Exit codes are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
@@ -18,8 +18,18 @@ names.  Exit codes are meant for scripted pipelines:
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
 arrays) so golden files can compare bytes.
 
-Building the parser imports no computation module: each subcommand imports
-the layer it runs, so a call pays only for the modules it uses.
+run parses argv along one of two paths, chosen by the form of argv alone.  A
+canonical argv (the command words, then distinct declared flags, each followed
+by a value that does not start with "-", every type and choices met and every
+required flag present) takes a strict parse of COMMANDS that imports nothing.
+Any other argv (--help, a usage error, --flag=value, an abbreviated or
+repeated flag, a value that starts with "-") goes to the argparse parser that
+build_parser makes from the same table, and argparse prints what it always
+printed.  The strict parse either returns the namespace argparse would return
+for that argv, attribute for attribute, or defers to argparse; it never
+rejects an argv itself.  Neither path imports a computation module: each
+subcommand imports the layer it runs, so a call pays only for the modules it
+uses, and a well-formed call never loads argparse.
 
 main is the console entry point and ends the process: it freezes the garbage
 collector (gc.freeze) before it raises SystemExit, so the interpreter's exit
@@ -29,12 +39,12 @@ the collector alone.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import signal
 import sys
 from collections.abc import Callable
+from types import SimpleNamespace
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -243,75 +253,115 @@ def _cmd_macdonald(args) -> tuple[dict, Callable[[], str], Callable[[], str]]:
     return payload, lambda: str(poly), lambda: _latex(poly)
 
 
-def _add_command(sub, name: str, help_text: str, handler, *arguments) -> None:
-    """
-    Add subcommand name to sub: its arguments, each a (flag, options) pair,
-    then --format, and handler as the function that run calls.
-    """
-    p = sub.add_parser(name, help=help_text)
-    for flag, options in arguments:
-        p.add_argument(flag, **options)
-    p.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
-    p.set_defaults(func=handler)
+# Every subcommand, declared once: its words, then its help, its handler and
+# its arguments, each a flag and its add_argument options.  Every subcommand
+# also takes FORMAT, last.  The first of two words names a group of GROUPS,
+# which has its own help.
+FORMAT = ("--format", dict(choices=["plain", "json", "latex"], default="plain"))
+GROUPS = {"git": "GIT stability tools"}
+# The declarations that dims, spectral and git hm share
+_RANK = ("--rank", dict(type=int, required=True, help=f"at most {NUMBER_MAX}"))
+_GENUS = ("--genus", dict(type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}"))
+_DEGREE = dict(type=int, help=f"|degree| at most {NUMBER_MAX}")
+COMMANDS = {
+    ("poincare",): ("Poincare polynomial of a moduli space", _cmd_poincare, [
+        ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
+        ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
+        ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both"))]),
+    ("mirror",): ("verify the rank-2 mirror-symmetry identity", _cmd_mirror, [
+        ("--genus", dict(type=int, required=True, help="curve genus, 2 to 10")),
+        ("--sample", dict(type=int, default=None,
+                          help="check this many random nonzero elements instead of all "
+                          f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),
+        ("--seed", dict(type=int, default=0))]),
+    ("dims",): ("moduli and Hitchin-base dimensions", _cmd_dims, [
+        _RANK, _GENUS, ("--degree", dict(_DEGREE, default=0)),
+        ("--group", dict(choices=["gl", "sl", "pgl"], default="sl"))]),
+    ("spectral",): ("spectral-curve numerology", _cmd_spectral, [
+        _RANK, _GENUS, ("--degree", dict(_DEGREE, required=True))]),
+    ("git", "classify"): ("classify a torus weight profile", _cmd_git_classify, [
+        ("--weights", dict(required=True, metavar="W1,W2,..."))]),
+    ("git", "hm"): ("Hilbert-Mumford weight of a filtration", _cmd_git_hm, [
+        ("--blocks", dict(required=True, metavar="N:a:r:d,...",
+                          help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
+        ("--m", dict(type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")),
+        ("--n", dict(type=int, default=None)), _GENUS]),
+    ("macdonald",): ("Poincare polynomial of a symmetric product", _cmd_macdonald, [
+        ("--genus", dict(type=int, required=True,
+                         help=f"curve genus, at most {MACDONALD_MAX_GENUS}")),
+        ("--n", dict(type=int, required=True,
+                     help=f"symmetric power, at most {MACDONALD_MAX_N}"))]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS: the path for --help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="higgsmoduli",
         description="Exact Betti numbers, E-polynomials, and GIT stability "
         "for rank-2 moduli of bundles and Higgs bundles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_command(sub, "poincare", "Poincare polynomial of a moduli space", _cmd_poincare,
-                 ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
-                 ("--genus", dict(type=int, required=True,
-                                  help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
-                 ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both")))
-    _add_command(sub, "mirror", "verify the rank-2 mirror-symmetry identity", _cmd_mirror,
-                 ("--genus", dict(type=int, required=True, help="curve genus, 2 to 10")),
-                 ("--sample", dict(type=int, default=None,
-                                   help="check this many random nonzero elements instead of all "
-                                   f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),
-                 ("--seed", dict(type=int, default=0)))
-    # The declarations that dims, spectral and git hm share
-    rank = ("--rank", dict(type=int, required=True, help=f"at most {NUMBER_MAX}"))
-    genus = ("--genus", dict(type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}"))
-    degree = dict(type=int, help=f"|degree| at most {NUMBER_MAX}")
-    _add_command(sub, "dims", "moduli and Hitchin-base dimensions", _cmd_dims, rank, genus,
-                 ("--degree", dict(degree, default=0)),
-                 ("--group", dict(choices=["gl", "sl", "pgl"], default="sl")))
-    _add_command(sub, "spectral", "spectral-curve numerology", _cmd_spectral, rank, genus,
-                 ("--degree", dict(degree, required=True)))
-
-    gitp = sub.add_parser("git", help="GIT stability tools")
-    gitsub = gitp.add_subparsers(dest="git_command", required=True)
-    _add_command(gitsub, "classify", "classify a torus weight profile", _cmd_git_classify,
-                 ("--weights", dict(required=True, metavar="W1,W2,...")))
-    _add_command(gitsub, "hm", "Hilbert-Mumford weight of a filtration", _cmd_git_hm,
-                 ("--blocks", dict(required=True, metavar="N:a:r:d,...",
-                                   help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
-                 ("--m", dict(type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")),
-                 ("--n", dict(type=int, default=None)), genus)
-
-    _add_command(sub, "macdonald", "Poincare polynomial of a symmetric product", _cmd_macdonald,
-                 ("--genus", dict(type=int, required=True,
-                                  help=f"curve genus, at most {MACDONALD_MAX_GENUS}")),
-                 ("--n", dict(type=int, required=True,
-                              help=f"symmetric power, at most {MACDONALD_MAX_N}")))
+    groups = {}
+    for words, (help_text, handler, arguments) in COMMANDS.items():
+        if len(words) == 2 and words[0] not in groups:
+            group = sub.add_parser(words[0], help=GROUPS[words[0]])
+            groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
+        p = groups.get(words[0], sub).add_parser(words[-1], help=help_text)
+        for flag, options in (*arguments, FORMAT):
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _strict_parse(argv) -> SimpleNamespace | None:
+    """
+    The namespace argparse returns for argv, if argv has the canonical form:
+    the command words, then distinct declared flags, each followed by a value
+    that does not start with "-", every type and choices met and every
+    required flag present.  None for any other argv, which argparse parses.
+    """
+    n = 2 if argv[:1] and argv[0] in GROUPS else 1
+    given = dict(zip(argv[n::2], argv[n + 1::2]))
+    if tuple(argv[:n]) not in COMMANDS or 2 * len(given) != len(argv) - n:
+        return None  # not a command, a flag without its value, or a repeated flag
+    _, handler, arguments = COMMANDS[tuple(argv[:n])]
+    values = {"command": argv[0], **({f"{argv[0]}_command": argv[1]} if n == 2 else {})}
+    for flag, options in (*arguments, FORMAT):
+        value = given.pop(flag, None)
+        if value is None:
+            if options.get("required"):
+                return None
+            value = options.get("default")
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in options.get("choices", [value]):
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    if given:
+        return None  # an undeclared flag, an abbreviation or a --flag=value
+    return SimpleNamespace(**values, func=handler)
 
 
 def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        empty = [name for name, value in vars(args).items() if value == []]
-        if empty:  # argparse (3.11) reads "--genus=--" as [], past type= and choices=
-            parser.error(f"argument --{empty[0]}: expected one argument")
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    args = _strict_parse(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            empty = [name for name, value in vars(args).items() if value == []]
+            if empty:  # argparse (3.11) reads "--genus=--" as [], past type= and choices=
+                parser.error(f"argument --{empty[0]}: expected one argument")
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
     try:
         payload, plain, latex = args.func(args)
         _output(args.format, payload, plain, latex)

@@ -899,6 +899,92 @@ def test_fuzzed_argv_exits_zero_or_two(argv):
         assert err.getvalue() == "" and out.getvalue() != "", argv
 
 
+# Values of each declared argument built from cli.COMMANDS: its choices, or
+# ints in the spellings int() reads ("+5", "1_0", an Arabic-Indic three), or
+# text; now and then a value that must not parse or that starts with "-".
+ODD_INTS = st.sampled_from([" 4", "4 ", "+5", "1_0", "\u0663", "007", "0x10", "1.5", "1e3"])
+NEAR_MISSES = st.one_of(
+    st.sampled_from(["", "x", "-", "--", "-h", "--help", "-3", "=", "--genus"]),
+    st.text(max_size=3),
+)
+
+
+def _declared_values(options):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(-3, 12).map(str) | ODD_INTS
+    return st.sampled_from(["1,-1", "0,1,-2", "1:1:1:0,1:-1:1:1", "x"])
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv of a command of cli.COMMANDS, and whether it has the canonical form."""
+    words = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, arguments = cli.COMMANDS[words]
+    argv, canonical = list(words), True
+    for flag, options in draw(st.permutations([*arguments, cli.FORMAT])):
+        if draw(st.integers(0, 7)) == 0:  # leave a flag out, required or not
+            continue
+        values = _declared_values(options)
+        value = draw(NEAR_MISSES if draw(st.integers(0, 7)) == 0 else values)
+        spelling = draw(st.sampled_from(["plain"] * 12 + ["equals", "abbreviated", "repeated"]))
+        if spelling == "equals":
+            argv.append(f"{flag}={value}")
+        elif spelling == "abbreviated":
+            argv += [flag[:draw(st.integers(2, len(flag) - 1))], value]
+        elif spelling == "repeated":
+            argv += [flag, value, flag, draw(values)]
+        else:
+            argv += [flag, value]
+        canonical &= spelling == "plain" and not value.startswith("-")
+    if draw(st.integers(0, 9)) == 0:
+        extra = draw(st.sampled_from(["-h", "--help", "--", "x", *words]))
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+        canonical = False
+    return argv, canonical
+
+
+@given(table_argvs())
+@settings(max_examples=400, deadline=None)
+def test_strict_parse_returns_argparses_namespace_or_defers(case):
+    # argparse is the oracle: an argv the strict parse accepts must give the
+    # namespace argparse gives, and a canonical argv argparse accepts must not
+    # be deferred
+    argv, canonical = case
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    args = cli._strict_parse(argv)
+    if args is not None:
+        assert vars(args) == expected, argv
+    elif canonical:
+        assert expected is None, argv
+
+
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [
+        (("mirror", "--genus=3"), ("mirror", "--genus", "3")),
+        (("mirror", "--gen", "3"), ("mirror", "--genus", "3")),
+        (("mirror", "--genus", "2", "--genus", "3"), ("mirror", "--genus", "3")),
+        (("poincare", "--space", "higgs", "--genus", "3", "--format=json"),
+         ("poincare", "--space", "higgs", "--genus", "3", "--format", "json")),
+        (("dims", "--rank", "2", "--genus", "3", "--degree=-1"),
+         ("dims", "--rank", "2", "--genus", "3", "--degree", "-1")),
+    ],
+    ids=["equals", "abbreviation", "repeat", "format-equals", "negative-value"],
+)
+def test_argparse_spelling_prints_what_its_twin_prints(capsys, spelling, canonical):
+    # a spelling the strict parse defers goes through argparse to the same bytes
+    assert cli._strict_parse(list(spelling)) is None
+    code, out, err = invoke(capsys, *canonical)
+    assert code == 0 and out and not err
+    assert invoke(capsys, *spelling) == (code, out, err)
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """perfbench/run.py, loaded read-only as a module."""
@@ -943,6 +1029,19 @@ def test_benchmarked_calls_print_the_recorded_bytes(capsys, bench):
             mismatched.append(bench.key(argv))
     assert argvs
     assert mismatched == []
+
+
+def test_benchmarked_calls_take_the_strict_parse(bench):
+    # every argv perfbench/expected.json pins skips argparse, and gets the
+    # namespace argparse would give it
+    parser = cli.build_parser()
+    keys = json.loads(bench.EXPECTED.read_text())
+    for key in keys:
+        argv = key.split(" ")
+        args = cli._strict_parse(argv)
+        assert args is not None, key
+        assert vars(args) == vars(parser.parse_args(argv)), key
+    assert len(keys) > 100
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)

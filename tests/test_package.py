@@ -30,53 +30,44 @@ def loaded_modules(code):
 def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
     modules = loaded_modules("import higgsmoduli.cli")
     assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}
-    assert modules & HEAVY == set()
-
-
-@pytest.mark.parametrize(
-    "argv, layer",
-    [
-        (["dims", "--rank", "2", "--genus", "3"], "higgsmoduli.geometry"),
-        (["git", "classify", "--weights", "1,-1"], "higgsmoduli.stability"),
-    ],
-    ids=["dims", "git-classify"],
-)
-def test_light_call_loads_only_its_layer(argv, layer):
-    modules = loaded_modules(f"from higgsmoduli import cli; cli.run({argv!r})")
-    assert layer in modules
-    assert "higgsmoduli.exactpoly" not in modules
-    assert "higgsmoduli.mirror" not in modules
-    assert modules & HEAVY == set()
+    assert modules & {*HEAVY, "argparse"} == set()
 
 
 # Every higgsmoduli module a call holds after it runs, beyond the package and
-# its command line, so a subcommand's import graph cannot quietly grow.
+# its command line, so a subcommand's import graph cannot quietly grow; and the
+# modules it must not load.  A well-formed call never loads argparse (nor the
+# gettext it imports), which only --help and usage errors need.
 POINCARE = ["_record", "exactpoly", "strata", "bundles"]
 MIRROR = ["_record", "strata", "mirror"]
+LEAN = {*HEAVY, "argparse", "gettext"}
 
 
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, layers, absent",
     [
-        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "recursion"], POINCARE),
-        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"], POINCARE),
-        (["poincare", "--space", "higgs", "--genus", "3"], [*POINCARE, "higgs"]),
-        (["mirror", "--genus", "3"], MIRROR),
-        (["mirror", "--genus", "3", "--sample", "5"], MIRROR),
-        (["dims", "--rank", "2", "--genus", "3"], ["_record", "geometry"]),
-        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"], ["_record", "geometry"]),
-        (["git", "classify", "--weights", "1,-1"], ["_record", "geometry", "stability"]),
+        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "recursion"], POINCARE,
+         LEAN),
+        (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"], POINCARE,
+         LEAN),
+        (["poincare", "--space", "higgs", "--genus", "3"], [*POINCARE, "higgs"], LEAN),
+        (["mirror", "--genus", "3"], MIRROR, LEAN),
+        (["mirror", "--genus", "3", "--sample", "5"], MIRROR, LEAN - {"random"}),
+        (["dims", "--rank", "2", "--genus", "3"], ["_record", "geometry"], LEAN),
+        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"], ["_record", "geometry"],
+         LEAN),
+        (["git", "classify", "--weights", "1,-1"], ["_record", "geometry", "stability"], LEAN),
         (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "2"],
-         ["_record", "geometry", "stability"]),
-        (["macdonald", "--genus", "3", "--n", "3"], ["_record", "exactpoly"]),
+         ["_record", "geometry", "stability"], LEAN - {"fractions", "decimal"}),
+        (["macdonald", "--genus", "3", "--n", "3"], ["_record", "exactpoly"], LEAN),
     ],
     ids=["recursion", "closed", "higgs", "mirror", "mirror-sample", "dims", "spectral",
          "git-classify", "git-hm", "macdonald"],
 )
-def test_call_loads_exactly_its_modules(argv, layers):
+def test_call_loads_exactly_its_modules(argv, layers, absent):
     modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 0")
     held = {m for m in modules if m.partition(".")[0] == "higgsmoduli"}
     assert held == {"higgsmoduli", "higgsmoduli.cli", *(f"higgsmoduli.{m}" for m in layers)}
+    assert modules & absent == set()
 
 
 def test_value_above_a_cap_is_rejected_before_any_layer_loads():
