@@ -295,7 +295,10 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of COMMANDS: the path for --help and usage errors."""
+    """
+    The argparse parser of COMMANDS, for every argv the strict parse defers:
+    --help, usage errors and the other spellings argparse accepts.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
