@@ -33,6 +33,22 @@ def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
     assert modules & {*HEAVY, "argparse"} == set()
 
 
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["dims", "--rank", "2", "--genus", "3"], "higgsmoduli.geometry"),
+        (["git", "classify", "--weights", "1,-1"], "higgsmoduli.stability"),
+    ],
+    ids=["dims", "git-classify"],
+)
+def test_light_call_loads_only_its_layer(argv, layer):
+    modules = loaded_modules(f"from higgsmoduli import cli; cli.run({argv!r})")
+    assert layer in modules
+    assert "higgsmoduli.exactpoly" not in modules
+    assert "higgsmoduli.mirror" not in modules
+    assert modules & {*HEAVY, "argparse"} == set()
+
+
 # Every higgsmoduli module a call holds after it runs, beyond the package and
 # its command line, so a subcommand's import graph cannot quietly grow; and the
 # modules it must not load.  A well-formed call never loads argparse (nor the
