@@ -31,16 +31,8 @@ from __future__ import annotations
 import operator
 
 from . import strata
-from .exactpoly import IntPoly, TruncSeries, poly_exact_div, series_expand, shifted_sum
+from .exactpoly import IntPoly, TruncSeries, _shifted_sum, poly_exact_div, series_expand
 from .strata import _check_genus
-
-__all__ = [
-    "poincare_N_closed",
-    "strata_equivariant_poly",
-    "classifying_space_poly",
-    "poincare_N_recursion",
-    "recursion_strata_count",
-]
 
 _ONE_PLUS_T = IntPoly([1, 1])
 _ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
@@ -134,7 +126,7 @@ def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     """
     _check_genus(g)
     window = _working_order(g, order)
-    acc = shifted_sum(_recursion_terms(g, window))
+    acc = _shifted_sum(_recursion_terms(g, window))
     n_series = TruncSeries(acc, window) * _ONE_MINUS_T2
     n_poly = n_series.polynomial_part(8 * g - 6)
     return poly_exact_div(n_poly, _ONE_PLUS_T ** (2 * g))

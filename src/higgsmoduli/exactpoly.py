@@ -184,12 +184,12 @@ class IntPoly(Record):
     def __add__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return shifted_sum([(0, self.coeffs), (0, other.coeffs)])
+        return _shifted_sum([(0, self.coeffs), (0, other.coeffs)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return shifted_sum([(0, self.coeffs), (0, tuple(map(operator.neg, other.coeffs)))])
+        return _shifted_sum([(0, self.coeffs), (0, tuple(map(operator.neg, other.coeffs)))])
 
     def __neg__(self) -> IntPoly:
         return IntPoly._of_ints(-c for c in self.coeffs)
@@ -255,7 +255,7 @@ class IntPoly(Record):
         return IntPoly._of_ints([0] * (v * n) + q)
 
 
-def shifted_sum(terms) -> IntPoly:
+def _shifted_sum(terms) -> IntPoly:
     """
     The sum of t^shift times the polynomial with coefficients coeffs, over the
     (shift, coeffs) pairs of terms.  Each term is added slice-wise into one
@@ -263,7 +263,7 @@ def shifted_sum(terms) -> IntPoly:
     the term that overlaps the sum so far costs one addition a coefficient,
     and the part past its end is appended as it is.
 
-    >>> shifted_sum([(0, (1, 1)), (1, (2,)), (3, (0, 5))])
+    >>> _shifted_sum([(0, (1, 1)), (1, (2,)), (3, (0, 5))])
     IntPoly('1 + 3t + 5t^4')
     """
     out: list[int] = []
@@ -422,6 +422,7 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     >>> coeff_extract_x(2, 1)
     IntPoly('1 + 4t + t^2')
     """
+    g, n = operator.index(g), operator.index(n)  # before a float reaches the cache
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
     top = min(2 * g, n)

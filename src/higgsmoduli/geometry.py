@@ -18,7 +18,7 @@ data in the strata module, so no Poincare call loads this one.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._record import Record
 
@@ -119,10 +119,7 @@ def hitchin_base_dim(r: int, g: int, reduced: bool = False) -> int:
     return (g - 1) * (r * r - 1) + (0 if reduced else g)
 
 
-class SpectralNumbers(NamedTuple):
-    ramification_degree: int
-    spectral_genus: int
-    line_degree_delta: int
+SpectralNumbers = namedtuple("SpectralNumbers", "ramification_degree spectral_genus line_degree_delta")
 
 
 def spectral_numbers(r: int, g: int, d: int) -> SpectralNumbers:

@@ -39,15 +39,8 @@ from __future__ import annotations
 
 from . import strata
 from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
-from .exactpoly import IntPoly, coeff_extract_x, poly_exact_div, shifted_sum
+from .exactpoly import IntPoly, _shifted_sum, coeff_extract_x, poly_exact_div
 from .strata import _check_genus, _check_stratum
-
-__all__ = [
-    "DegreeOverflow",
-    "fixed_locus_poincare",
-    "poincare_M_stratified",
-    "poincare_M_closed",
-]
 
 
 class DegreeOverflow(ArithmeticError):
@@ -63,7 +56,7 @@ def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     """
     kbar = _check_stratum(g, k)
     covers = (2 ** (2 * g) - 1) * sum(strata.variant_hodge_numbers(g, k))
-    return shifted_sum([(0, coeff_extract_x(g, kbar).coeffs), (kbar, (covers,))])
+    return _shifted_sum([(0, coeff_extract_x(g, kbar).coeffs), (kbar, (covers,))])
 
 
 def _bb_summands(g: int):
@@ -80,7 +73,7 @@ def poincare_M_stratified(g: int) -> IntPoly:
     added into one coefficient list.  Every summand tops out at degree
     exactly 6g - 6; anything larger is flagged as a bug.
     """
-    total = shifted_sum(_bb_summands(g))
+    total = _shifted_sum(_bb_summands(g))
     if total.degree() > 6 * g - 6:
         raise DegreeOverflow(f"degree {total.degree()} exceeds {6 * g - 6}")
     return total

@@ -67,22 +67,6 @@ from math import comb
 from . import strata
 from ._record import Record
 
-__all__ = [
-    "BivarPoly",
-    "Gamma2Element",
-    "LengthMismatch",
-    "TrivialElement",
-    "IdentityViolation",
-    "PairingNotAlternating",
-    "PairingNotBilinear",
-    "MirrorReport",
-    "weil_pairing",
-    "e_poly_kappa_lhs",
-    "e_poly_rhs",
-    "fermionic_shift",
-    "mirror_verify",
-]
-
 # The largest genus the right side is computed for; a sampled sweep there
 # may read up to 4^g - 2 elements, about a million.
 MAX_GENUS = 10
@@ -231,6 +215,9 @@ class Gamma2Element(Record):
 
     @classmethod
     def from_int(cls, value: int, g: int) -> Gamma2Element:
+        g = operator.index(g)
+        if g < 1:
+            raise ValueError("bit vector must have positive even length 2g")
         if not 0 <= value < 1 << (2 * g):
             raise ValueError("value out of range")
         return object.__new__(cls)._fill(g, value & ((1 << g) - 1), value >> g)

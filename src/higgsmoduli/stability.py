@@ -27,24 +27,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._record import Record
 from .geometry import hilbert_poly
-
-__all__ = [
-    "Stability",
-    "WeightProfile",
-    "Block",
-    "FiltrationData",
-    "EmptyProfile",
-    "ExpressionMismatch",
-    "NonIntegerWeight",
-    "NonPositiveEuler",
-    "torus_classify",
-    "hm_weight",
-    "quotient_semistability_test",
-]
 
 
 class EmptyProfile(ValueError):
@@ -105,13 +91,8 @@ def torus_classify(profile: WeightProfile) -> Stability:
     return Stability.STRICTLY_SEMISTABLE
 
 
-class Block(NamedTuple):
-    """One graded piece of a weighted filtration: dimension, weight, rank, degree."""
-
-    N: int
-    a: int
-    r: int
-    d: int
+Block = namedtuple("Block", "N a r d")
+Block.__doc__ = "One graded piece of a weighted filtration: dimension, weight, rank, degree."
 
 
 class FiltrationData(Record):
@@ -183,6 +164,7 @@ def quotient_semistability_test(
     N' chi(E(m)) <= N chi(E'(m)) so no rationals appear.  Both Euler
     characteristics must be positive, which holds once m is large enough.
     """
+    Nprime, N = operator.index(Nprime), operator.index(N)
     if Nprime < 0 or N < 1:
         raise ValueError("dimensions must be nonnegative, total positive")
     chi_sub = hilbert_poly(rprime, dprime, g, m)

@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import operator
 
-__all__ = ["bb_codimension", "hn_codim_rank2", "variant_hodge_numbers"]
-
 
 def _check_genus(g: int) -> None:
     """The genus of every rank-2 pipeline and of the mirror check: an integer, at least 2."""

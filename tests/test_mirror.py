@@ -62,6 +62,13 @@ class TestGamma2Element:
             e = Gamma2Element.from_int(v, 2)
             assert sum(b << i for i, b in enumerate(e.bits)) == v
 
+    def test_from_int_refuses_what_the_constructor_refuses(self):
+        for g in (0, -1):
+            with pytest.raises(ValueError, match="positive even length"):
+                Gamma2Element.from_int(0, g)
+        with pytest.raises(TypeError):
+            Gamma2Element.from_int(0, 2.0)
+
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_from_int_is_the_element_of_its_bits(self, g):
         elements = [Gamma2Element.from_int(v, g) for v in range(4**g)]

@@ -1,6 +1,7 @@
 """Package surface: the public names, what an import loads, and the docstring examples."""
 import doctest
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -52,10 +53,11 @@ def test_light_call_loads_only_its_layer(argv, layer):
 # Every higgsmoduli module a call holds after it runs, beyond the package and
 # its command line, so a subcommand's import graph cannot quietly grow; and the
 # modules it must not load.  A well-formed call never loads argparse (nor the
-# gettext it imports), which only --help and usage errors need.
+# gettext it imports), which only --help and usage errors need, nor typing or
+# re; only git hm's fractions brings in re.
 POINCARE = ["_record", "exactpoly", "strata", "bundles"]
 MIRROR = ["_record", "strata", "mirror"]
-LEAN = {*HEAVY, "argparse", "gettext"}
+LEAN = {*HEAVY, "argparse", "gettext", "typing", "re"}
 
 
 @pytest.mark.parametrize(
@@ -73,7 +75,7 @@ LEAN = {*HEAVY, "argparse", "gettext"}
          LEAN),
         (["git", "classify", "--weights", "1,-1"], ["_record", "geometry", "stability"], LEAN),
         (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "2"],
-         ["_record", "geometry", "stability"], LEAN - {"fractions", "decimal"}),
+         ["_record", "geometry", "stability"], LEAN - {"fractions", "decimal", "re"}),
         (["macdonald", "--genus", "3", "--n", "3"], ["_record", "exactpoly"], LEAN),
     ],
     ids=["recursion", "closed", "higgs", "mirror", "mirror-sample", "dims", "spectral",
@@ -108,11 +110,16 @@ def test_names_resolve_lazily():
         higgsmoduli.no_such_name
 
 
-@pytest.mark.parametrize("name", ["bundles", "higgs", "mirror", "stability", "strata"])
+@pytest.mark.parametrize("name", higgsmoduli._EXPORTS)
 def test_submodule_exports_are_package_exports(name):
-    # both directions, so a deleted name cannot stay behind in either list
+    # _EXPORTS is the one list of public names: each row is exactly the public
+    # classes and functions its module defines, so a name added to a module,
+    # or deleted from it, cannot be missed by the table or stay behind in it
     module = importlib.import_module(f"higgsmoduli.{name}")
-    assert sorted(module.__all__) == sorted(higgsmoduli._EXPORTS[name])
+    defined = {attr for attr, value in vars(module).items()
+               if not attr.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+               and value.__module__ == module.__name__}
+    assert defined == set(higgsmoduli._EXPORTS[name])
 
 
 def test_package_exports_resolve():
@@ -129,9 +136,12 @@ def test_package_exports_resolve():
         ("bb_codimension", (3, 1.5)),
         ("recursion_strata_count", (2.0,)),
         ("recursion_strata_count", (3, 30.0)),
+        ("coeff_extract_x", (2.0, 1)),
+        ("quotient_semistability_test", (1.5, 1, 0, 2, 2, 1, 2, 5)),
     ],
     ids=["hn_codim_rank2-genus", "hn_codim_rank2-k", "fermionic_shift", "bb_codimension",
-         "recursion_strata_count-genus", "recursion_strata_count-order"],
+         "recursion_strata_count-genus", "recursion_strata_count-order", "coeff_extract_x",
+         "quotient_semistability_test"],
 )
 def test_numeric_functions_reject_a_non_integer(name, args):
     # a float is refused, not truncated or carried into a formula
