@@ -1,0 +1,28 @@
+"""The mirror subcommand: the rank-2 mirror-symmetry check at one genus."""
+from .cli import MIRROR_MAX_SAMPLE, _at_most, _latex_table
+
+
+def mirror(args) -> tuple[dict, str, str]:
+    from .mirror import mirror_verify
+
+    sample = args.sample
+    if sample is not None:
+        _at_most("--sample", sample, MIRROR_MAX_SAMPLE)
+    report = mirror_verify(args.genus, sample=sample, seed=args.seed)
+    payload = {
+        "genus": report.genus,
+        "elements_checked": report.elements_checked,
+        "pass": report.passed,
+        "lhs": report.lhs.to_sorted_dict(),
+        "rhs_sample": report.rhs_sample.to_sorted_dict(),
+    }
+    plain = (
+        f"genus {report.genus}: {report.elements_checked} elements checked, "
+        f"{'pass' if report.passed else 'FAIL'}"
+    )
+    latex = _latex_table([
+        ("genus", report.genus),
+        ("elements checked", report.elements_checked),
+        ("pass", str(report.passed).lower()),
+    ])
+    return payload, plain, latex

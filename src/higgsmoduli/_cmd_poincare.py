@@ -1,0 +1,35 @@
+"""The poincare subcommand: both pipelines of one space, or one of them."""
+from .cli import POINCARE_MAX_GENUS, _at_most, _latex, _latex_table
+
+
+def poincare(args):
+    g = args.genus
+    _at_most("--genus", g, POINCARE_MAX_GENUS)
+    if args.space == "vector-bundles":
+        from . import bundles
+
+        pipelines = {"closed": bundles.poincare_N_closed, "recursion": bundles.poincare_N_recursion}
+    else:
+        from . import higgs
+
+        pipelines = {"closed": higgs.poincare_M_closed, "strata": higgs.poincare_M_stratified}
+    if args.via != "both" and args.via not in pipelines:
+        raise ValueError(f"--via {args.via} does not apply to --space {args.space}")
+
+    payload = {"space": args.space, "genus": g, "via": args.via}
+    if args.via != "both":
+        poly = pipelines[args.via](g)
+        plain = lambda: str(poly)
+    else:
+        (name_a, route_a), (name_b, route_b) = pipelines.items()
+        poly, poly_b = route_a(g), route_b(g)
+        payload["agree"] = poly == poly_b
+        if not payload["agree"]:
+            payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
+            payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
+            return (payload, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
+                    lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
+        del poly_b  # only poly is printed
+        plain = lambda: f"{poly}\n{name_a} and {name_b} agree"
+    payload["coeffs"] = poly.to_coeff_list()
+    return payload, plain, lambda: _latex(poly)

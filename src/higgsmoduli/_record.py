@@ -1,6 +1,4 @@
 """Base class of the package's small immutable value records."""
-from __future__ import annotations
-
 from operator import attrgetter
 
 

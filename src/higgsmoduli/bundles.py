@@ -26,8 +26,6 @@ The infinite stratum sum is truncated at the first stratum whose codimension
 exceeds the working window; since the k-th stratum only contributes from
 degree 2g + 4k - 4 upward, this truncation is exact, not approximate.
 """
-from __future__ import annotations
-
 import operator
 
 from . import strata

@@ -2,9 +2,13 @@
 Command-line surface.
 
 Each subcommand is declared once, in COMMANDS: its words, help, handler and
-arguments, then --format.  A handler calls the computation module and returns
-its outputs, a JSON payload and the plain and LaTeX texts; run prints the one
-that --format names.  Exit codes are meant for scripted pipelines:
+arguments, then --format.  The handler lives in a small private module of its
+own (_cmd_poincare, _cmd_mirror, _cmd_geometry for dims and spectral, _cmd_git
+for git classify and git hm, _cmd_macdonald), which run imports after the
+parse, so a call compiles only the handler it runs.  A handler checks its
+caps, calls the computation module and returns its outputs, a JSON payload and
+the plain and LaTeX texts; run prints the one that --format names.  Exit codes
+are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
@@ -28,22 +32,21 @@ build_parser makes from the same table, and argparse prints what it always
 printed.  The strict parse either returns the namespace argparse would return
 for that argv, attribute for attribute, or defers to argparse; it never
 rejects an argv itself.  Neither path imports a computation module: each
-subcommand imports the layer it runs, so a call pays only for the modules it
+handler imports the layer it runs, so a call pays only for the modules it
 uses, and a well-formed call never loads argparse.
 
 main is the console entry point and ends the process: it freezes the garbage
 collector (gc.freeze) before it raises SystemExit, so the interpreter's exit
-does not walk every object the call loaded in one last collection.  A
-long-lived process should call run, which returns the exit code and leaves
-the collector alone.
+does not walk every object the call loaded in one last collection.  A reader
+that closes the pipe early (| head) ends the process by SIGPIPE, as it ends any
+filter: main imports signal only after the BrokenPipeError, then restores
+SIGPIPE's default action and raises it.  A long-lived process should call run,
+which returns the exit code and leaves the collector and the signals alone.
 """
-from __future__ import annotations
-
 import gc
+import importlib
 import io
-import signal
 import sys
-from collections.abc import Callable
 from types import SimpleNamespace
 
 __all__ = ["build_parser", "run", "main"]
@@ -64,13 +67,6 @@ NUMBER_MAX = 10**6
 def _at_most(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
-
-
-def _check_numbers(args) -> None:
-    """The caps of dims and spectral, checked before the layer is imported."""
-    _at_most("--rank", args.rank, NUMBER_MAX)
-    _at_most("--genus", args.genus, NUMBER_MAX)
-    _at_most("|--degree|", abs(args.degree), NUMBER_MAX)
 
 
 def _latex(poly) -> str:
@@ -100,162 +96,10 @@ def _output(fmt: str, payload: dict, plain, latex) -> None:
     print(text() if callable(text) else text)
 
 
-def _cmd_poincare(args) -> tuple[dict, Callable[[], str], Callable[[], str]]:
-    g = args.genus
-    _at_most("--genus", g, POINCARE_MAX_GENUS)
-    if args.space == "vector-bundles":
-        from . import bundles
-
-        pipelines = {"closed": bundles.poincare_N_closed, "recursion": bundles.poincare_N_recursion}
-    else:
-        from . import higgs
-
-        pipelines = {"closed": higgs.poincare_M_closed, "strata": higgs.poincare_M_stratified}
-    if args.via != "both" and args.via not in pipelines:
-        raise ValueError(f"--via {args.via} does not apply to --space {args.space}")
-
-    payload = {"space": args.space, "genus": g, "via": args.via}
-    if args.via != "both":
-        poly = pipelines[args.via](g)
-        plain = lambda: str(poly)
-    else:
-        (name_a, route_a), (name_b, route_b) = pipelines.items()
-        poly, poly_b = route_a(g), route_b(g)
-        payload["agree"] = poly == poly_b
-        if not payload["agree"]:
-            payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
-            payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
-            return (payload, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
-                    lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
-        del poly_b  # only poly is printed
-        plain = lambda: f"{poly}\n{name_a} and {name_b} agree"
-    payload["coeffs"] = poly.to_coeff_list()
-    return payload, plain, lambda: _latex(poly)
-
-
-def _cmd_mirror(args) -> tuple[dict, str, str]:
-    from . import mirror
-
-    sample = args.sample
-    if sample is not None:
-        _at_most("--sample", sample, MIRROR_MAX_SAMPLE)
-    report = mirror.mirror_verify(args.genus, sample=sample, seed=args.seed)
-    payload = {
-        "genus": report.genus,
-        "elements_checked": report.elements_checked,
-        "pass": report.passed,
-        "lhs": report.lhs.to_sorted_dict(),
-        "rhs_sample": report.rhs_sample.to_sorted_dict(),
-    }
-    plain = (
-        f"genus {report.genus}: {report.elements_checked} elements checked, "
-        f"{'pass' if report.passed else 'FAIL'}"
-    )
-    latex = _latex_table([
-        ("genus", report.genus),
-        ("elements checked", report.elements_checked),
-        ("pass", str(report.passed).lower()),
-    ])
-    return payload, plain, latex
-
-
-def _cmd_dims(args) -> tuple[dict, str, str]:
-    _check_numbers(args)
-    from . import geometry
-
-    params = geometry.ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
-    dims = {
-        "bundles": geometry.moduli_dim(params, "bundles"),
-        "higgs": geometry.moduli_dim(params, "higgs"),
-        "hitchin_base": geometry.moduli_dim(params, "hitchin-base"),
-    }
-    payload = {
-        "rank": params.r,
-        "degree": params.d,
-        "genus": params.g,
-        "group": params.group,
-        **dims,
-    }
-    header = f"rank {params.r}  degree {params.d}  genus {params.g}  group {params.group}"
-    body = "\n".join(f"{name:<13}{value}" for name, value in dims.items())
-    return payload, f"{header}\n{body}", _latex_table(payload.items())
-
-
-def _cmd_spectral(args) -> tuple[dict, str, str]:
-    _check_numbers(args)
-    from . import geometry
-
-    numbers = geometry.spectral_numbers(args.rank, args.genus, args.degree)
-    fields = numbers._asdict()
-    payload = {"rank": args.rank, "genus": args.genus, "degree": args.degree, **fields}
-    width = max(len(name) for name in fields) + 2
-    plain = "\n".join(f"{name:<{width}}{value}" for name, value in fields.items())
-    return payload, plain, _latex_table(list(fields.items()))
-
-
-def _cmd_git_classify(args) -> tuple[dict, str, str]:
-    from . import stability
-
-    try:
-        weights = tuple(int(w) for w in args.weights.split(",") if w.strip() != "")
-    except ValueError:
-        raise ValueError(f"--weights expects comma-separated integers, got {args.weights!r}")
-    verdict = stability.torus_classify(stability.WeightProfile(weights))
-    payload = {"weights": list(weights), "verdict": verdict.value}
-    latex = _latex_table([("weights", ",".join(map(str, weights))),
-                          ("verdict", verdict.value)])
-    return payload, verdict.value, latex
-
-
-def _parse_blocks(text: str) -> list[tuple[int, ...]]:
-    """N:a:r:d entries, each as a tuple of four ints."""
-    blocks = []
-    for chunk in text.split(","):
-        pieces = chunk.split(":")
-        if len(pieces) != 4:
-            raise ValueError(f"--blocks expects N:a:r:d entries, got {chunk!r}")
-        try:
-            block = tuple(int(p) for p in pieces)
-        except ValueError:
-            raise ValueError(f"--blocks entries must be integers, got {chunk!r}")
-        _at_most("|--blocks entry|", max(map(abs, block)), NUMBER_MAX)
-        blocks.append(block)
-    return blocks
-
-
-def _cmd_git_hm(args) -> tuple[dict, str, str]:
-    _at_most("|--m|", abs(args.m), NUMBER_MAX)
-    _at_most("--genus", args.genus, NUMBER_MAX)
-    blocks = _parse_blocks(args.blocks)
-    from . import stability
-
-    filtration = stability.FiltrationData(blocks, m=args.m, g=args.genus)
-    weight = stability.hm_weight(filtration)
-    payload = {
-        "blocks": [list(b) for b in filtration.blocks],
-        "m": filtration.m,
-        "n": args.n,
-        "genus": filtration.g,
-        "weight": weight,
-    }
-    latex = _latex_table([("blocks", args.blocks), ("m", filtration.m),
-                          ("genus", filtration.g), ("weight", weight)])
-    return payload, f"weight = {weight}", latex
-
-
-def _cmd_macdonald(args) -> tuple[dict, Callable[[], str], Callable[[], str]]:
-    _at_most("--genus", args.genus, MACDONALD_MAX_GENUS)
-    _at_most("--n", args.n, MACDONALD_MAX_N)
-    from . import exactpoly
-
-    poly = exactpoly.coeff_extract_x(args.genus, args.n)
-    payload = {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}
-    return payload, lambda: str(poly), lambda: _latex(poly)
-
-
-# Every subcommand, declared once: its words, then its help, its handler and
-# its arguments, each a flag and its add_argument options.  Every subcommand
-# also takes FORMAT, last.  The first of two words names a group of GROUPS,
+# Every subcommand, declared once: its words, then its help, its handler (a
+# function of a private module, named relative to the package) and its
+# arguments, each a flag and its add_argument options.  Every subcommand also
+# takes FORMAT, last.  The first of two words names a group of GROUPS,
 # which has its own help.
 FORMAT = ("--format", dict(choices=["plain", "json", "latex"], default="plain"))
 GROUPS = {"git": "GIT stability tools"}
@@ -264,29 +108,29 @@ _RANK = ("--rank", dict(type=int, required=True, help=f"at most {NUMBER_MAX}"))
 _GENUS = ("--genus", dict(type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}"))
 _DEGREE = dict(type=int, help=f"|degree| at most {NUMBER_MAX}")
 COMMANDS = {
-    ("poincare",): ("Poincare polynomial of a moduli space", _cmd_poincare, [
+    ("poincare",): ("Poincare polynomial of a moduli space", "_cmd_poincare.poincare", [
         ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
         ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
         ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both"))]),
-    ("mirror",): ("verify the rank-2 mirror-symmetry identity", _cmd_mirror, [
+    ("mirror",): ("verify the rank-2 mirror-symmetry identity", "_cmd_mirror.mirror", [
         ("--genus", dict(type=int, required=True, help="curve genus, 2 to 10")),
         ("--sample", dict(type=int, default=None,
                           help="check this many random nonzero elements instead of all "
                           f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),
         ("--seed", dict(type=int, default=0))]),
-    ("dims",): ("moduli and Hitchin-base dimensions", _cmd_dims, [
+    ("dims",): ("moduli and Hitchin-base dimensions", "_cmd_geometry.dims", [
         _RANK, _GENUS, ("--degree", dict(_DEGREE, default=0)),
         ("--group", dict(choices=["gl", "sl", "pgl"], default="sl"))]),
-    ("spectral",): ("spectral-curve numerology", _cmd_spectral, [
+    ("spectral",): ("spectral-curve numerology", "_cmd_geometry.spectral", [
         _RANK, _GENUS, ("--degree", dict(_DEGREE, required=True))]),
-    ("git", "classify"): ("classify a torus weight profile", _cmd_git_classify, [
+    ("git", "classify"): ("classify a torus weight profile", "_cmd_git.classify", [
         ("--weights", dict(required=True, metavar="W1,W2,..."))]),
-    ("git", "hm"): ("Hilbert-Mumford weight of a filtration", _cmd_git_hm, [
+    ("git", "hm"): ("Hilbert-Mumford weight of a filtration", "_cmd_git.hm", [
         ("--blocks", dict(required=True, metavar="N:a:r:d,...",
                           help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
         ("--m", dict(type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")),
         ("--n", dict(type=int, default=None)), _GENUS]),
-    ("macdonald",): ("Poincare polynomial of a symmetric product", _cmd_macdonald, [
+    ("macdonald",): ("Poincare polynomial of a symmetric product", "_cmd_macdonald.macdonald", [
         ("--genus", dict(type=int, required=True,
                          help=f"curve genus, at most {MACDONALD_MAX_GENUS}")),
         ("--n", dict(type=int, required=True,
@@ -294,7 +138,7 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """
     The argparse parser of COMMANDS, for every argv the strict parse defers:
     --help, usage errors and the other spellings argparse accepts.
@@ -315,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = groups.get(words[0], sub).add_parser(words[-1], help=help_text)
         for flag, options in (*arguments, FORMAT):
             p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -350,7 +194,7 @@ def _strict_parse(argv) -> SimpleNamespace | None:
         values[flag[2:].replace("-", "_")] = value
     if given:
         return None  # an undeclared flag, an abbreviation or a --flag=value
-    return SimpleNamespace(**values, func=handler)
+    return SimpleNamespace(**values, handler=handler)
 
 
 def run(argv) -> int:
@@ -365,8 +209,10 @@ def run(argv) -> int:
                 parser.error(f"argument --{empty[0]}: expected one argument")
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
+    module, _, name = args.handler.rpartition(".")
+    handler = getattr(importlib.import_module(f"{__package__}.{module}"), name)
     try:
-        payload, plain, latex = args.func(args)
+        payload, plain, latex = handler(args)
         _output(args.format, payload, plain, latex)
         return int(payload.get("agree") is False)  # 1 when --via both's routes disagree
     except ValueError as exc:
@@ -387,14 +233,10 @@ def main() -> None:
     Before it raises SystemExit, main moves every live object to the
     collector's permanent generation (gc.freeze): the collection that
     interpreter shutdown runs then skips them, and the OS reclaims their
-    memory when the process ends.  atexit handlers still run and buffered
-    stdout is still flushed.  Call run, not main, from a process that goes on.
+    memory when the process ends.  stdout is flushed before the freeze, and
+    atexit handlers still run.  Call run, not main, from a process that goes
+    on.
     """
-    if hasattr(signal, "SIGPIPE"):
-        # A reader that closes the pipe early (| head) ends the process the
-        # way it ends any filter, instead of a BrokenPipeError traceback and
-        # exit 1, the code of a failed cross-check.
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     out = sys.stdout
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # Unbuffered (python -u, PYTHONUNBUFFERED): each write reaches the raw
@@ -405,8 +247,17 @@ def main() -> None:
                                       encoding=out.encoding, errors=out.errors)
     try:
         code = run(sys.argv[1:])
+        sys.stdout.flush()
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         code = 130
+    except BrokenPipeError:
+        # The reader closed the pipe early (| head): end the way any filter
+        # ends, not with a traceback and exit 1, the code of a failed
+        # cross-check.  Dying by the signal also drops the unwritten output.
+        import signal
+
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGPIPE)
     gc.freeze()
     sys.exit(code)

@@ -39,8 +39,6 @@ If its coefficients of t^c .. t^(deg num) vanish, r is a multiple of
 t^(deg num + 1), so r = 0.  A division that leaves a remainder raises
 NonDivisible instead of returning an approximation.
 """
-from __future__ import annotations
-
 import operator
 
 from ._record import Record
@@ -84,14 +82,14 @@ class IntPoly(Record):
         object.__setattr__(self, "coeffs", _trimmed(cs))
 
     @classmethod
-    def _of_ints(cls, coeffs) -> IntPoly:
+    def _of_ints(cls, coeffs) -> "IntPoly":
         """Wrap coefficients that are ints by construction, skipping the per-coefficient check."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "coeffs", _trimmed(list(coeffs)))
         return poly
 
     @staticmethod
-    def monomial(exponent: int, coeff: int = 1) -> IntPoly:
+    def monomial(exponent: int, coeff: int = 1) -> "IntPoly":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         coeffs = [0] * exponent + [coeff]
@@ -126,13 +124,13 @@ class IntPoly(Record):
             acc = acc * x + c
         return acc
 
-    def truncate(self, order: int) -> IntPoly:
+    def truncate(self, order: int) -> "IntPoly":
         """Drop all terms of degree >= order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         return self if order >= len(self.coeffs) else IntPoly._of_ints(self.coeffs[:order])
 
-    def shift(self, k: int) -> IntPoly:
+    def shift(self, k: int) -> "IntPoly":
         """Multiply by t^k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
@@ -181,20 +179,20 @@ class IntPoly(Record):
     def __repr__(self):
         return f"IntPoly('{self}')"
 
-    def __add__(self, other: IntPoly) -> IntPoly:
+    def __add__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
         return _shifted_sum([(0, self.coeffs), (0, other.coeffs)])
 
-    def __sub__(self, other: IntPoly) -> IntPoly:
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
         return _shifted_sum([(0, self.coeffs), (0, tuple(map(operator.neg, other.coeffs)))])
 
-    def __neg__(self) -> IntPoly:
+    def __neg__(self) -> "IntPoly":
         return IntPoly._of_ints(-c for c in self.coeffs)
 
-    def __mul__(self, other: int | IntPoly) -> IntPoly:
+    def __mul__(self, other: "int | IntPoly") -> "IntPoly":
         """
         The product, in O(nnz(shorter) len(longer)) steps.
 
@@ -203,6 +201,8 @@ class IntPoly(Record):
         """
         if isinstance(other, int):
             return IntPoly._of_ints(c * other for c in self.coeffs)
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -217,7 +217,7 @@ class IntPoly(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> IntPoly:
+    def __pow__(self, n: int) -> "IntPoly":
         """
         The n-th power, by Miller's recurrence after stripping the factor t^v.
 
@@ -289,6 +289,7 @@ class TruncSeries(Record):
     __slots__ = _fields = ("poly", "order")
 
     def __init__(self, poly: IntPoly, order: int):
+        order = operator.index(order)
         if order < 0:
             raise ValueError("order must be nonnegative")
         object.__setattr__(self, "poly", poly.truncate(order))
@@ -313,7 +314,7 @@ class TruncSeries(Record):
                 )
         return self.poly.truncate(max_degree + 1)
 
-    def __mul__(self, other: int | IntPoly | TruncSeries) -> TruncSeries:
+    def __mul__(self, other: "int | IntPoly | TruncSeries") -> "TruncSeries":
         # Terms at or past the result order cannot reach a kept coefficient.
         if isinstance(other, TruncSeries):
             order = min(self.order, other.order)

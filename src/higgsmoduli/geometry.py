@@ -15,8 +15,6 @@ The codimensions of the Harder-Narasimhan strata that the Atiyah-Bott
 recursion peels off are not here: they live with the other stratification
 data in the strata module, so no Poincare call loads this one.
 """
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 

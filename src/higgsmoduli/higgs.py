@@ -35,8 +35,6 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
   polynomial.  Their summed numerator must divide exactly; that division is
   the correctness test of the transcription.
 """
-from __future__ import annotations
-
 from . import strata
 from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
 from .exactpoly import IntPoly, _shifted_sum, coeff_extract_x, poly_exact_div

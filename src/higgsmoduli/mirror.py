@@ -58,8 +58,6 @@ vector whose row is nonzero all the same raises PairingNotBilinear.  The
 right side is computed only up to genus MAX_GENUS; larger genera are
 rejected with ValueError.
 """
-from __future__ import annotations
-
 import operator
 from collections import defaultdict
 from math import comb
@@ -199,7 +197,7 @@ class Gamma2Element(Record):
         value = sum(b << i for i, b in enumerate(bits))
         self._fill(g, value & ((1 << g) - 1), value >> g)
 
-    def _fill(self, g: int, lo: int, hi: int) -> Gamma2Element:
+    def _fill(self, g: int, lo: int, hi: int) -> "Gamma2Element":
         """Set the genus and the packed halves, unchecked; every element is built here."""
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_lo", lo)
@@ -214,7 +212,7 @@ class Gamma2Element(Record):
         return self._lo == 0 and self._hi == 0
 
     @classmethod
-    def from_int(cls, value: int, g: int) -> Gamma2Element:
+    def from_int(cls, value: int, g: int) -> "Gamma2Element":
         g = operator.index(g)
         if g < 1:
             raise ValueError("bit vector must have positive even length 2g")
@@ -222,7 +220,7 @@ class Gamma2Element(Record):
             raise ValueError("value out of range")
         return object.__new__(cls)._fill(g, value & ((1 << g) - 1), value >> g)
 
-    def __add__(self, other: Gamma2Element) -> Gamma2Element:
+    def __add__(self, other: "Gamma2Element") -> "Gamma2Element":
         if self.g != other.g:
             raise LengthMismatch("elements live in different groups")
         total = object.__new__(Gamma2Element)

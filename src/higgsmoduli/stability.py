@@ -1,7 +1,7 @@
 """
 Combinatorial GIT stability: torus weight profiles and Hilbert-Mumford weights.
 
-Three calculations, all in exact integer (or rational) arithmetic:
+Three calculations, all in exact integer arithmetic:
 
 * torus_classify decides the GIT status of a point under a one-parameter
   torus action from the multiset of weights on its nonzero coordinates, by
@@ -23,8 +23,6 @@ Three calculations, all in exact integer (or rational) arithmetic:
 * quotient_semistability_test evaluates the subspace inequality
   N'/chi(E'(m)) <= N/chi(E(m)) in cross-multiplied integer form.
 """
-from __future__ import annotations
-
 import enum
 import operator
 from collections import namedtuple
@@ -42,7 +40,7 @@ class ExpressionMismatch(ArithmeticError):
 
 
 class NonIntegerWeight(ArithmeticError):
-    """The rational form of the weight failed to be an integer (a bug)."""
+    """The partial-sum form of the weight failed to be an integer (a bug)."""
 
 
 class NonPositiveEuler(ValueError):
@@ -131,26 +129,25 @@ def hm_weight(f: FiltrationData) -> int:
     """
     The Hilbert-Mumford weight of the filtration, computed as
     -sum a_i chi(G_i(m)) and re-derived through the partial-sum form as a
-    runtime cross-check; the second form is assembled in exact rationals
-    and must come out integral.
+    runtime cross-check; the second form is assembled in integers scaled by
+    N = dim C^N, and must divide by N exactly.
     """
-    from fractions import Fraction
-
     chis = [hilbert_poly(b.r, b.d, f.g, f.m) for b in f.blocks]
     first = -sum(b.a * chi for b, chi in zip(f.blocks, chis))
 
     total_chi = sum(chis)
     total_dim = f.N
-    second = Fraction(0)
+    scaled = 0  # N times the partial-sum form
     partial_chi = 0
     partial_dim = 0
     for i in range(len(f.blocks) - 1):
         partial_chi += chis[i]
         partial_dim += f.blocks[i].N
         step = f.blocks[i + 1].a - f.blocks[i].a
-        second += step * (partial_chi - Fraction(partial_dim, total_dim) * total_chi)
-    if second.denominator != 1:
-        raise NonIntegerWeight(f"partial-sum form gave {second}")
+        scaled += step * (partial_chi * total_dim - partial_dim * total_chi)
+    second, remainder = divmod(scaled, total_dim)
+    if remainder:
+        raise NonIntegerWeight(f"partial-sum form gave {scaled}/{total_dim}")
     if first != second:
         raise ExpressionMismatch(f"{first} != {second}")
     return first

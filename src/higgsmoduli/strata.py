@@ -22,8 +22,6 @@ installed on the module attribute reaches every reader.  Genus and index
 are read with operator.index: a float or a string raises TypeError rather
 than being carried into a formula.
 """
-from __future__ import annotations
-
 import functools
 import operator
 

@@ -29,8 +29,9 @@ def invoke(capsys, *argv):
 @pytest.fixture
 def restore_sigpipe():
     """
-    cli.main resets SIGPIPE and freezes the collector for its process; give
-    the test process its handler and its collectable objects back.
+    cli.main freezes the collector for its process, and resets SIGPIPE after
+    a broken pipe; give the test process its handler and its collectable
+    objects back.
     """
     previous = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
     yield
@@ -730,7 +731,7 @@ class TestPlumbing:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert len(head) == 20
-        assert proc.returncode != 1
+        assert proc.returncode == -signal.SIGPIPE
         assert b"Traceback" not in err
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch, restore_sigpipe):

@@ -112,6 +112,14 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             op(1, IntPoly([1]))
 
+    def test_float_factor_is_a_type_error(self):
+        # an int or an IntPoly multiplies; anything else gets the operator
+        # protocol's error, in either order, as + and - do
+        with pytest.raises(TypeError):
+            IntPoly([1, 2]) * 1.5
+        with pytest.raises(TypeError):
+            1.5 * IntPoly([1, 2])
+
     def test_pow(self):
         assert ONE_PLUS_T**4 == IntPoly([1, 4, 6, 4, 1])
         assert ONE_PLUS_T**0 == IntPoly([1])

@@ -29,9 +29,10 @@ def loaded_modules(code):
 
 
 def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
+    # no handler module either: run imports the one it calls, after the parse
     modules = loaded_modules("import higgsmoduli.cli")
     assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}
-    assert modules & {*HEAVY, "argparse"} == set()
+    assert modules & LEAN == set()
 
 
 @pytest.mark.parametrize(
@@ -54,10 +55,10 @@ def test_light_call_loads_only_its_layer(argv, layer):
 # its command line, so a subcommand's import graph cannot quietly grow; and the
 # modules it must not load.  A well-formed call never loads argparse (nor the
 # gettext it imports), which only --help and usage errors need, nor typing or
-# re; only git hm's fractions brings in re.
-POINCARE = ["_record", "exactpoly", "strata", "bundles"]
-MIRROR = ["_record", "strata", "mirror"]
-LEAN = {*HEAVY, "argparse", "gettext", "typing", "re"}
+# re; nor signal, which main imports only after a broken pipe, nor __future__.
+POINCARE = ["_cmd_poincare", "_record", "exactpoly", "strata", "bundles"]
+MIRROR = ["_cmd_mirror", "_record", "strata", "mirror"]
+LEAN = {*HEAVY, "argparse", "gettext", "typing", "re", "signal", "__future__"}
 
 
 @pytest.mark.parametrize(
@@ -70,13 +71,15 @@ LEAN = {*HEAVY, "argparse", "gettext", "typing", "re"}
         (["poincare", "--space", "higgs", "--genus", "3"], [*POINCARE, "higgs"], LEAN),
         (["mirror", "--genus", "3"], MIRROR, LEAN),
         (["mirror", "--genus", "3", "--sample", "5"], MIRROR, LEAN - {"random"}),
-        (["dims", "--rank", "2", "--genus", "3"], ["_record", "geometry"], LEAN),
-        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"], ["_record", "geometry"],
-         LEAN),
-        (["git", "classify", "--weights", "1,-1"], ["_record", "geometry", "stability"], LEAN),
+        (["dims", "--rank", "2", "--genus", "3"], ["_cmd_geometry", "_record", "geometry"], LEAN),
+        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"],
+         ["_cmd_geometry", "_record", "geometry"], LEAN),
+        (["git", "classify", "--weights", "1,-1"],
+         ["_cmd_git", "_record", "geometry", "stability"], LEAN),
         (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "2"],
-         ["_record", "geometry", "stability"], LEAN - {"fractions", "decimal", "re"}),
-        (["macdonald", "--genus", "3", "--n", "3"], ["_record", "exactpoly"], LEAN),
+         ["_cmd_git", "_record", "geometry", "stability"], LEAN),
+        (["macdonald", "--genus", "3", "--n", "3"], ["_cmd_macdonald", "_record", "exactpoly"],
+         LEAN),
     ],
     ids=["recursion", "closed", "higgs", "mirror", "mirror-sample", "dims", "spectral",
          "git-classify", "git-hm", "macdonald"],
@@ -89,12 +92,16 @@ def test_call_loads_exactly_its_modules(argv, layers, absent):
 
 
 def test_value_above_a_cap_is_rejected_before_any_layer_loads():
-    for argv in (["dims", "--rank", "1000001", "--genus", "2"],
-                 ["spectral", "--rank", "2", "--genus", "1000001", "--degree", "0"],
-                 ["git", "hm", "--blocks", "1:1:1:0", "--m", "1000001", "--genus", "2"],
-                 ["macdonald", "--genus", "201", "--n", "1"]):
+    # the handler module checks the caps, before it imports its layer
+    for argv, handler in ((["dims", "--rank", "1000001", "--genus", "2"], "_cmd_geometry"),
+                          (["spectral", "--rank", "2", "--genus", "1000001", "--degree", "0"],
+                           "_cmd_geometry"),
+                          (["git", "hm", "--blocks", "1:1:1:0", "--m", "1000001", "--genus", "2"],
+                           "_cmd_git"),
+                          (["macdonald", "--genus", "201", "--n", "1"], "_cmd_macdonald")):
         modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 2")
-        assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}, argv
+        held = {m for m in modules if m.startswith("higgsmoduli.")}
+        assert held == {"higgsmoduli.cli", f"higgsmoduli.{handler}"}, argv
 
 
 def test_names_resolve_lazily():
@@ -138,10 +145,11 @@ def test_package_exports_resolve():
         ("recursion_strata_count", (3, 30.0)),
         ("coeff_extract_x", (2.0, 1)),
         ("quotient_semistability_test", (1.5, 1, 0, 2, 2, 1, 2, 5)),
+        ("TruncSeries", (higgsmoduli.IntPoly([1, 2]), 2.5)),
     ],
     ids=["hn_codim_rank2-genus", "hn_codim_rank2-k", "fermionic_shift", "bb_codimension",
          "recursion_strata_count-genus", "recursion_strata_count-order", "coeff_extract_x",
-         "quotient_semistability_test"],
+         "quotient_semistability_test", "TruncSeries"],
 )
 def test_numeric_functions_reject_a_non_integer(name, args):
     # a float is refused, not truncated or carried into a formula

@@ -1,15 +1,20 @@
 """GIT stability: torus classifier, Hilbert-Mumford weights, quotient inequality."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsmoduli import stability
+from higgsmoduli._record import Record
 from higgsmoduli.geometry import hilbert_poly
 from higgsmoduli.stability import (
     Block,
     EmptyProfile,
+    ExpressionMismatch,
     FiltrationData,
+    NonIntegerWeight,
     NonPositiveEuler,
     Stability,
     WeightProfile,
@@ -119,6 +124,23 @@ class TestHilbertMumfordWeight:
         rng = random.Random(20260819)
         for _ in range(1000):
             hm_weight(random_filtration(rng))
+
+    def test_a_non_integral_euler_characteristic_is_refused(self, monkeypatch):
+        # the partial-sum form is N times the weight, divided by N exactly;
+        # chi = 1/2 on both blocks makes the weight 1/2, and the division fails
+        monkeypatch.setattr(stability, "hilbert_poly", lambda r, d, g, m: Fraction(1, 2))
+        with pytest.raises(NonIntegerWeight):
+            hm_weight(FiltrationData([(2, 1, 1, 0), (1, -2, 1, 0)], m=5, g=2))
+
+    def test_forms_that_disagree_are_refused(self, monkeypatch):
+        # the two forms are equal exactly when sum N_i a_i = 0; a filtration
+        # built past that check (sum N_i a_i = 1, N = 2, chi = 1 on each block)
+        # puts the partial-sum form 1 above the first
+        monkeypatch.setattr(stability, "hilbert_poly", lambda r, d, g, m: 1)
+        f = object.__new__(FiltrationData)
+        Record.__init__(f, (Block(1, 1, 1, 0), Block(1, 0, 1, 0)), 5, 2)
+        with pytest.raises(ExpressionMismatch, match="-1 != 0"):
+            hm_weight(f)
 
 
 class TestQuotientInequality:
