@@ -13,8 +13,8 @@ package (or its command line) loads only the modules a caller touches.
 
 _EXPORTS = {
     "exactpoly": (
-        "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries", "ZeroConstantTerm",
-        "coeff_extract_x", "poly_exact_div", "series_expand",
+        "IntPoly", "NonDivisible", "TailNonzero", "TruncSeries", "coeff_extract_x",
+        "poly_exact_div", "series_expand",
     ),
     "bundles": (
         "classifying_space_poly", "poincare_N_closed", "poincare_N_recursion",

@@ -14,8 +14,10 @@ the two is the correctness test for both:
 
 * the gauge-theoretic recursion of Atiyah and Bott.  The space C of
   holomorphic structures on a fixed rank-2 degree-1 bundle is stratified by
-  Harder-Narasimhan type (k+1, -k), the stratum of type (k+1, -k) having
-  codimension 2g + 4k - 4 and equivariant Poincare series
+  Harder-Narasimhan type.  The unstable types are (k, 1-k), k >= 1, the
+  first being (1, 0); the stratum of type (k, 1-k) has complex codimension
+  g + 2k - 2, so it enters shifted by t^(2g + 4k - 4), its real
+  codimension, with equivariant Poincare series
   ((1+t)^(2g)/(1-t^2))^2, while C itself is contractible with
   P_t(B Gauge) = [(1+t)(1+t^3)]^(2g) / ((1-t^2)^2 (1-t^4)).  Peeling the
   unstable strata off the classifying-space series leaves the semistable
@@ -36,8 +38,9 @@ _ONE_PLUS_T = IntPoly([1, 1])
 _ONE_PLUS_T3 = IntPoly([1, 0, 0, 1])
 _ONE_MINUS_T2 = IntPoly([1, 0, -1])
 _ONE_MINUS_T4 = IntPoly([1, 0, 0, 0, -1])
-# (1-t^2)(1-t^4), the denominator of both closed forms: Harder-Narasimhan's and Hitchin's.
-_HN_DENOM = _ONE_MINUS_T2 * _ONE_MINUS_T4
+# The factors of (1-t^2)(1-t^4), the denominator of both closed forms:
+# Harder-Narasimhan's and Hitchin's.
+_HN_DENOM = (_ONE_MINUS_T2, _ONE_MINUS_T4)
 
 
 def poincare_N_closed(g: int) -> IntPoly:
@@ -59,7 +62,7 @@ def strata_equivariant_poly(g: int, order: int) -> TruncSeries:
     times two copies of BC^*.
     """
     _check_genus(g)
-    return series_expand(_ONE_PLUS_T ** (4 * g), _ONE_MINUS_T2 ** 2, order)
+    return series_expand(_ONE_PLUS_T ** (4 * g), (_ONE_MINUS_T2, _ONE_MINUS_T2), order)
 
 
 def classifying_space_poly(g: int, order: int) -> TruncSeries:
@@ -69,7 +72,7 @@ def classifying_space_poly(g: int, order: int) -> TruncSeries:
     """
     _check_genus(g)
     numerator = (_ONE_PLUS_T * _ONE_PLUS_T3) ** (2 * g)
-    return series_expand(numerator, _ONE_MINUS_T2 ** 2 * _ONE_MINUS_T4, order)
+    return series_expand(numerator, (_ONE_MINUS_T2, _ONE_MINUS_T2, _ONE_MINUS_T4), order)
 
 
 def _working_order(g: int, order: int | None) -> int:
@@ -117,14 +120,15 @@ def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     series: the negated series is added into one list, in window - codim
     additions per stratum and no multiplication.  Then multiplies by
     (1 - t^2) to remove the central C^*, and divides exactly by the
-    Jacobian factor (1+t)^(2g).  Exactness of that division, and the
-    vanishing of all window coefficients above degree 8g - 6 before it, are
-    checked; either failure would mean a transcription or implementation
-    error.
+    Jacobian factor (1+t)^(2g): 2g divisions by 1 + t, each an O(g) running
+    sum, so O(g^2) additions in all.  Exactness of every one of those
+    divisions, and the vanishing of all window coefficients above degree
+    8g - 6 before them, are checked; either failure would mean a
+    transcription or implementation error.
     """
     _check_genus(g)
     window = _working_order(g, order)
     acc = _shifted_sum(_recursion_terms(g, window))
     n_series = TruncSeries(acc, window) * _ONE_MINUS_T2
     n_poly = n_series.polynomial_part(8 * g - 6)
-    return poly_exact_div(n_poly, _ONE_PLUS_T ** (2 * g))
+    return poly_exact_div(n_poly, [_ONE_PLUS_T] * (2 * g))

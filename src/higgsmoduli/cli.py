@@ -55,7 +55,7 @@ __all__ = ["build_parser", "run", "main"]
 # element; without --sample the certificate covers every element.
 MIRROR_MAX_SAMPLE = 65535
 # Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
-# takes about 2.3 s; macdonald at the caps prints about 2.6 MB.
+# takes about 0.4 s; macdonald at the caps prints about 2.6 MB.
 POINCARE_MAX_GENUS = 400
 MACDONALD_MAX_GENUS = 200
 MACDONALD_MAX_N = 10000
@@ -197,16 +197,29 @@ def _strict_parse(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**values, handler=handler)
 
 
+def _refuse_double_dash(parser, argv) -> None:
+    """
+    Refuse an argument --flag=-- whose flag is declared, named in full or by
+    its only abbreviation, with one message on every Python version: before
+    3.13, argparse reads the "--" as an empty list, past type= and choices=,
+    and from 3.13 on as the value "--".  Undeclared flags are left to
+    argparse's own message.
+    """
+    words = tuple(argv[:2 if argv[:1] and argv[0] in GROUPS else 1])
+    for arg in argv[len(words):] if words in COMMANDS else ():
+        named = [flag for flag, _ in (*COMMANDS[words][2], FORMAT) if flag.startswith(arg[:-3])]
+        if arg.startswith("--") and arg.endswith("=--") and len(named) == 1:
+            parser.error(f"argument {named[0]}: expected one argument")
+
+
 def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
     args = _strict_parse(argv)
     if args is None:
         parser = build_parser()
         try:
+            _refuse_double_dash(parser, argv)
             args = parser.parse_args(argv)
-            empty = [name for name, value in vars(args).items() if value == []]
-            if empty:  # argparse (3.11) reads "--genus=--" as [], past type= and choices=
-                parser.error(f"argument --{empty[0]}: expected one argument")
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
     module, _, name = args.handler.rpartition(".")

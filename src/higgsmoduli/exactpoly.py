@@ -29,15 +29,19 @@ every step checks its remainder, and a nonzero one raises NonDivisible rather
 than being rounded.  For the sparse bases the pipelines raise to powers in
 the hundreds, this costs a few small-by-big multiplications per coefficient.
 
-Exact division and series expansion share one convolution core that proceeds
-from the constant term upward (every denominator we meet is 1 + higher order
-terms, possibly times a power of t).  Division proves its remainder zero
-without multiplying back.  Let q be the first c = deg(num) - deg(den) + 1
-coefficients of the series num/den.  The remainder r = num - q den has degree
-at most deg(num), and the series r/den is num/den with those c terms removed.
-If its coefficients of t^c .. t^(deg num) vanish, r is a multiple of
-t^(deg num + 1), so r = 0.  A division that leaves a remainder raises
-NonDivisible instead of returning an approximation.
+Every divisor the pipelines meet is a product of factors 1 + t^k and
+1 - t^k, so division takes its divisor as that sequence of factors and has
+one primitive: dividing a coefficient list in place by 1 - s t^k, s = +-1,
+is the strided running sum q_i += s q_(i-k), O(length) exact additions.  A
+series expansion is that and nothing more.  An exact division also proves
+its remainder zero without multiplying back.  Write num = q (1 - s t^k) + r
+with deg r < k.  Run over the deg(num) + 1 coefficients of num, the sum
+gives the series q + r/(1 - s t^k) up to t^(deg num).  q stops at degree
+deg(num) - k, and r/(1 - s t^k) = sum over j of s^j r t^(jk) puts each of
+r's k coefficients, up to sign, exactly once into the last k entries.  So
+those entries all vanish exactly when r = 0: they are dropped, and the next
+factor divides the quotient.  A nonzero one raises NonDivisible instead of
+returning an approximation.
 """
 import operator
 
@@ -46,10 +50,6 @@ from ._record import Record
 
 class NonDivisible(ArithmeticError):
     """Exact division failed: the quotient would not have integer polynomial form."""
-
-
-class ZeroConstantTerm(ArithmeticError):
-    """The denominator is not invertible as a power series (constant term zero)."""
 
 
 class TailNonzero(ArithmeticError):
@@ -328,76 +328,61 @@ class TruncSeries(Record):
     __rmul__ = __mul__
 
 
-def _quotient_coeffs(num: IntPoly, den: IntPoly, count: int) -> list[int]:
+def _divide(coeffs: list[int], factors, exact: bool) -> IntPoly:
     """
-    First `count` coefficients of num/den as a power series, exact at every step.
-
-    Shared core of poly_exact_div and series_expand: coefficient i of the
-    quotient is solved from the convolution (quotient * den)_i = num_i.
+    Divide coeffs in place by each factor 1 - s t^k, s = +-1, in turn: the
+    running sum q_i += s q_(i-k) over the list.  When exact, each pass's
+    last k entries are its remainder, which must vanish and is dropped.  A
+    factor of any other form raises ValueError.
     """
-    n, d = num.coeffs, den.coeffs
-    d0 = d[0] if d else 0
-    if d0 == 0:
-        raise ZeroConstantTerm("series division needs a denominator with nonzero constant term")
-    ddeg = len(d) - 1
-    out: list[int] = []
-    for i in range(count):
-        acc = n[i] if i < len(n) else 0
-        for j in range(max(0, i - ddeg), i):
-            acc -= out[j] * d[i - j]
-        q, r = divmod(acc, d0)
-        if r != 0:
-            raise NonDivisible(f"coefficient {acc} of t^{i} is not divisible by {d0}")
-        out.append(q)
-    return out
+    steps = []
+    for factor in factors:
+        f = getattr(factor, "coeffs", ())
+        if len(f) < 2 or f[0] != 1 or f[-1] not in (1, -1) or any(f[1:-1]):
+            raise ValueError(f"a divisor factor must be 1 + t^k or 1 - t^k, got {factor}")
+        steps.append((len(f) - 1, operator.sub if f[-1] == 1 else operator.add))
+    for k, step in steps:
+        for i in range(k, len(coeffs)):
+            coeffs[i] = step(coeffs[i], coeffs[i - k])
+        if exact:
+            if any(coeffs[-k:]):
+                raise NonDivisible("remainder is nonzero")
+            del coeffs[-k:]
+    return IntPoly._of_ints(coeffs)
 
 
-def poly_exact_div(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
+def poly_exact_div(numerator: IntPoly, factors) -> IntPoly:
     """
-    Divide exactly, raising NonDivisible if the quotient is not a polynomial.
+    Divide exactly by the product of factors, each 1 + t^k or 1 - t^k,
+    raising NonDivisible if the quotient is not a polynomial.
 
-    Takes deg(num) + 1 coefficients of the series num/den, O(deg num deg den)
-    exact steps and no product: the first deg(num) - deg(den) + 1 are the
-    quotient, and the rest must vanish, which proves the remainder zero (see
-    the module docstring).
+    One running sum per factor, O(deg num) exact additions, and no product:
+    the last k entries of each pass must vanish, which proves its remainder
+    zero (see the module docstring).
 
-    >>> poly_exact_div(IntPoly([1, 0, 0, 0, -1]), IntPoly([1, 0, -1]))
+    >>> poly_exact_div(IntPoly([1, 0, 0, 0, -1]), [IntPoly([1, 0, -1])])
     IntPoly('1 + t^2')
-    >>> poly_exact_div(IntPoly([1, 1]), IntPoly([1, -1]))
+    >>> poly_exact_div(IntPoly([1, 1]), [IntPoly([1, -1])])
     Traceback (most recent call last):
         ...
     higgsmoduli.exactpoly.NonDivisible: remainder is nonzero
     """
-    if denominator.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if numerator.is_zero():
-        return IntPoly()
-    # Strip a common power of t so that division can start at the constant term.
-    val = denominator.valuation()
-    if val > 0:
-        if numerator.valuation() < val:
-            raise NonDivisible("denominator has higher valuation than numerator")
-        numerator = IntPoly(numerator.coeffs[val:])
-        denominator = IntPoly(denominator.coeffs[val:])
-    count = numerator.degree() - denominator.degree() + 1
-    if count <= 0:
-        raise NonDivisible("numerator has lower degree than denominator")
-    coeffs = _quotient_coeffs(numerator, denominator, numerator.degree() + 1)
-    if any(coeffs[count:]):
-        raise NonDivisible("remainder is nonzero")
-    return IntPoly._of_ints(coeffs[:count])
+    return _divide(list(numerator.coeffs), factors, exact=True)
 
 
-def series_expand(numerator: IntPoly, denominator: IntPoly, order: int) -> TruncSeries:
+def series_expand(numerator: IntPoly, factors, order: int) -> TruncSeries:
     """
-    Expand numerator/denominator as a power series modulo t^order.
+    Expand numerator over the product of factors, each 1 + t^k or 1 - t^k,
+    as a power series modulo t^order.
 
-    >>> series_expand(IntPoly([1]), IntPoly([1, -1]), 4).poly
+    >>> series_expand(IntPoly([1]), [IntPoly([1, -1])], 4).poly
     IntPoly('1 + t + t^2 + t^3')
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncSeries(IntPoly(_quotient_coeffs(numerator, denominator, order)), order)
+    coeffs = list(numerator.coeffs[:order])
+    coeffs += [0] * (order - len(coeffs))
+    return TruncSeries(_divide(coeffs, factors, exact=False), order)
 
 
 def coeff_extract_x(g: int, n: int) -> IntPoly:

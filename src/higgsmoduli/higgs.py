@@ -37,7 +37,7 @@ on a genus-g curve, a holomorphic symplectic variety of complex dimension
 """
 from . import strata
 from .bundles import _HN_DENOM, _ONE_MINUS_T4, _ONE_PLUS_T, _ONE_PLUS_T3, poincare_N_closed
-from .exactpoly import IntPoly, _shifted_sum, coeff_extract_x, poly_exact_div
+from .exactpoly import IntPoly, NonDivisible, _shifted_sum, coeff_extract_x, poly_exact_div
 from .strata import _check_genus, _check_stratum
 
 
@@ -101,7 +101,9 @@ def poincare_M_closed(g: int) -> IntPoly:
     """
     _check_genus(g)
     bracket = _ONE_PLUS_T2 ** 2 * _ONE_PLUS_T ** (2 * g) - _ONE_PLUS_T ** 4 * _ONE_MINUS_T ** (2 * g)
-    quarter = poly_exact_div(bracket, IntPoly([4]))
+    if any(c % 4 for c in bracket.coeffs):
+        raise NonDivisible("the bracket of Hitchin's second term is not divisible by 4")
+    quarter = IntPoly._of_ints(c // 4 for c in bracket.coeffs)
     term3 = (g - 1) * (_ONE_PLUS_T ** (2 * g - 1) * _ONE_MINUS_T4).shift(4 * g - 3)
     numerator = _ONE_PLUS_T3 ** (2 * g) - quarter.shift(4 * g - 4) - term3
     evens = _ONE_PLUS_T ** (2 * g - 2) - _ONE_MINUS_T ** (2 * g - 2)

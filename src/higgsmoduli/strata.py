@@ -5,7 +5,7 @@ Both Poincare pipelines that sum over strata, and the mirror check, read
 their strata here:
 
 * the Atiyah-Bott recursion peels off the Harder-Narasimhan strata of type
-  (k+1, -k), k >= 1, at the complex codimensions of hn_codim_rank2;
+  (k, 1-k), k >= 1, at the real codimensions of hn_codim_rank2;
 
 * the Bialynicki-Birula sum adds the fixed loci F_k, k = 1 .. g-1, of the
   circle action on the Higgs moduli space at the real codimensions of
@@ -81,8 +81,10 @@ def bb_codimension(g: int, k: int) -> int:
 
 def hn_codim_rank2(g: int, k: int) -> int:
     """
-    Complex codimension 2g + 4k - 4 of the stratum of holomorphic structures
-    of Harder-Narasimhan type (k+1, -k) on a rank-2, degree-1 bundle.
+    Real codimension 2g + 4k - 4 of the stratum of holomorphic structures of
+    Harder-Narasimhan type (k, 1-k), k >= 1, on a rank-2, degree-1 bundle:
+    twice Atiyah-Bott's complex codimension d1 - d2 + g - 1 of type
+    (d1, d2), here g + 2k - 2.  The first stratum, k = 1, is of type (1, 0).
     """
     _check_genus(g)
     if operator.index(k) < 1:

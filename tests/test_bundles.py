@@ -11,7 +11,7 @@ from higgsmoduli.bundles import (
     recursion_strata_count,
     strata_equivariant_poly,
 )
-from higgsmoduli.exactpoly import IntPoly, TailNonzero
+from higgsmoduli.exactpoly import IntPoly, NonDivisible, TailNonzero
 
 N_G2 = IntPoly([1, 0, 1, 4, 1, 0, 1])
 
@@ -41,7 +41,7 @@ class TestRecursionIngredients:
         g, order = 3, 8
         from higgsmoduli.exactpoly import series_expand
 
-        half = series_expand(IntPoly([1, 1]) ** (2 * g), IntPoly([1, 0, -1]), order)
+        half = series_expand(IntPoly([1, 1]) ** (2 * g), [IntPoly([1, 0, -1])], order)
         full = strata_equivariant_poly(g, order)
         assert (half * half).poly == full.poly
 
@@ -80,6 +80,29 @@ class TestRecursion:
     def test_order_too_small_rejected(self):
         with pytest.raises(ValueError):
             poincare_N_recursion(2, order=7)
+
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    def test_minimum_order_is_exactly_8g_minus_5(self, g):
+        # the window must hold P_t of the semistable stratum, of degree 8g - 6
+        assert poincare_N_recursion(g, order=8 * g - 5) == poincare_N_closed(g)
+        with pytest.raises(ValueError, match=f"at least {8 * g - 5} "):
+            poincare_N_recursion(g, order=8 * g - 6)
+
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    @pytest.mark.parametrize("at", [0, 1, -1])
+    def test_a_remainder_in_any_jacobian_pass_is_caught(self, monkeypatch, g, at):
+        # dividing by 1 - t in place of one of the 2g factors 1 + t leaves a
+        # remainder in that pass: the quotient so far is nonzero at t = 1
+        from higgsmoduli import exactpoly
+
+        def swapped(num, factors):
+            factors = list(factors)
+            factors[at] = IntPoly([1, -1])
+            return exactpoly.poly_exact_div(num, factors)
+
+        monkeypatch.setattr(bundles, "poly_exact_div", swapped)
+        with pytest.raises(NonDivisible):
+            poincare_N_recursion(g)
 
     @pytest.mark.parametrize("g", [2, 3, 10])
     def test_dropped_stratum_fails_the_guard(self, monkeypatch, g):

@@ -684,10 +684,25 @@ class TestPlumbing:
         (("poincare", "--space=--", "--genus", "2"), "--space"),
     ])
     def test_double_dash_as_a_value_is_a_usage_error(self, capsys, argv, flag):
-        # argparse hands "--flag=--" over as an empty list, past type= and choices=
+        # argparse hands "--flag=--" over as an empty list before 3.13, past
+        # type= and choices=, and as the value "--" from 3.13 on
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"higgsmoduli: error: argument {flag}: expected one argument"
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (("dims", "--rank", "2", "--gen=--"), "higgsmoduli: error: argument --genus: expected one argument"),
+        (("dims", "--rank", "2", "--genus", "3", "--foo=--"),
+         "higgsmoduli: error: unrecognized arguments: --foo=--"),
+        (("mirror", "--genus", "2", "--s=--"),
+         "higgsmoduli mirror: error: ambiguous option: --s=-- could match --sample, --seed"),
+    ], ids=["abbreviated", "undeclared", "ambiguous"])
+    def test_double_dash_after_other_flag_spellings(self, capsys, argv, last_line):
+        # an abbreviation of one declared flag is refused like the flag itself;
+        # an undeclared or ambiguous one keeps argparse's own message
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == last_line
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")

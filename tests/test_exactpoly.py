@@ -14,7 +14,6 @@ from higgsmoduli.exactpoly import (
     NonDivisible,
     TailNonzero,
     TruncSeries,
-    ZeroConstantTerm,
     _shifted_sum,
     coeff_extract_x,
     poly_exact_div,
@@ -65,6 +64,22 @@ coefficients = st.one_of(
     st.builds(lambda m, sign: sign * m, st.integers(HUGE, 2**640), st.sampled_from([1, -1])),
 )
 polys = st.lists(coefficients, max_size=12).map(IntPoly)
+# divisor factors 1 + t^k and 1 - t^k, the only ones division accepts
+factors = st.lists(
+    st.builds(lambda k, s: IntPoly([1] + [0] * (k - 1) + [s]), st.integers(1, 4), st.sampled_from([1, -1])),
+    max_size=4,
+)
+NOT_ONE_PLUS_MINUS_T_K = [
+    IntPoly([]), IntPoly([1]), IntPoly([4]), IntPoly([0, 1]), IntPoly([0, 2]), IntPoly([-1, 1]),
+    IntPoly([1, 2]), IntPoly([1, 1, 1]), IntPoly([1, 0, -2]), IntPoly([2, 0, 2]), 4,
+]
+
+
+def product(polys):
+    out = IntPoly([1])
+    for p in polys:
+        out = schoolbook(out, p)
+    return out
 
 
 class TestIntPoly:
@@ -272,74 +287,79 @@ class TestPolyExactDiv:
     def test_moduli_closed_form_g2(self):
         # [(1+t^3)^4 - t^4 (1+t)^4] / [(1-t^2)(1-t^4)] = 1 + t^2 + 4t^3 + t^4 + t^6
         num = IntPoly([1, 0, 0, 1]) ** 4 - IntPoly.monomial(4) * ONE_PLUS_T**4
-        den = IntPoly([1, 0, -1]) * IntPoly([1, 0, 0, 0, -1])
+        den = [IntPoly([1, 0, -1]), IntPoly([1, 0, 0, 0, -1])]
         assert poly_exact_div(num, den) == IntPoly([1, 0, 1, 4, 1, 0, 1])
 
     def test_binomial_quotient(self):
-        assert poly_exact_div(ONE_PLUS_T**4, ONE_PLUS_T**2) == ONE_PLUS_T**2
+        assert poly_exact_div(ONE_PLUS_T**4, [ONE_PLUS_T, ONE_PLUS_T]) == ONE_PLUS_T**2
+        assert poly_exact_div(ONE_PLUS_T**4, []) == ONE_PLUS_T**4
 
-    def test_common_valuation_stripped(self):
-        assert poly_exact_div(IntPoly([0, 0, 2, 2]), IntPoly([0, 2])) == IntPoly([0, 1, 1])
+    def test_factor_other_than_one_plus_minus_t_k_is_refused(self):
+        # zero, constants, a multiple of t, or any other shape: only 1 + t^k
+        # and 1 - t^k divide, so no division strips a power of t
+        for factor in NOT_ONE_PLUS_MINUS_T_K:
+            with pytest.raises(ValueError):
+                poly_exact_div(ONE_PLUS_T**4, [ONE_PLUS_T, factor])
 
     def test_non_divisible(self):
         with pytest.raises(NonDivisible):
-            poly_exact_div(ONE_PLUS_T, ONE_MINUS_T)
+            poly_exact_div(ONE_PLUS_T, [ONE_MINUS_T])
         with pytest.raises(NonDivisible):
-            poly_exact_div(IntPoly([1, 1, 1]), IntPoly([2]))
+            poly_exact_div(IntPoly([1, 1, 1]), [ONE_PLUS_T])
         with pytest.raises(NonDivisible):
-            poly_exact_div(IntPoly([1]), ONE_PLUS_T)  # degree too low
+            poly_exact_div(IntPoly([1]), [ONE_PLUS_T])  # degree too low
         with pytest.raises(NonDivisible):
-            poly_exact_div(IntPoly([0, 1]), IntPoly([0, 0, 1]))  # valuation too low
+            poly_exact_div(IntPoly([0, 1]), [IntPoly([1, 0, 1])])  # degree too low, k = 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_a_remainder_in_any_pass_is_caught(self, n):
+        # (1+t)^(n-1) (1 + t^2) divides exactly by 1 + t n - 1 times; the n-th
+        # pass leaves the remainder 2 of (1 + t^2) / (1 + t)
+        num = ONE_PLUS_T ** (n - 1) * IntPoly([1, 0, 1])
+        assert poly_exact_div(num, [ONE_PLUS_T] * (n - 1)) == IntPoly([1, 0, 1])
+        with pytest.raises(NonDivisible, match="remainder is nonzero"):
+            poly_exact_div(num, [ONE_PLUS_T] * n)
 
     def test_zero_cases(self):
-        assert poly_exact_div(IntPoly([]), ONE_PLUS_T) == IntPoly([])
-        with pytest.raises(ZeroDivisionError):
-            poly_exact_div(ONE_PLUS_T, IntPoly([]))
+        assert poly_exact_div(IntPoly([]), [ONE_PLUS_T]) == IntPoly([])
+        with pytest.raises(ValueError):
+            poly_exact_div(ONE_PLUS_T, [IntPoly([])])
 
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    )
-    def test_multiply_then_divide_round_trips(self, a, b):
-        pa, pb = IntPoly(a), IntPoly(b)
-        if pb.is_zero():
-            return
-        assert poly_exact_div(pa * pb, pb) == pa
+    @given(polys, factors)
+    def test_multiply_then_divide_round_trips(self, pa, fs):
+        assert poly_exact_div(schoolbook(pa, product(fs)), fs) == pa
 
-    @given(
-        polys,
-        st.sampled_from([1, -1]),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-        st.lists(coefficients, min_size=1, max_size=5),
-    )
+    @given(polys, factors.filter(bool), st.lists(coefficients, min_size=1, max_size=16))
     @settings(max_examples=200)
-    def test_remainder_only_the_top_coefficients_reveal(self, pa, b0, tail, r):
-        # with a unit constant term every step divides exactly, so only the
-        # vanishing of the series past the quotient can reject a + r / b
-        pb = IntPoly([b0] + tail)
-        pr = IntPoly(r).truncate(pb.degree())
-        assume(not pa.is_zero() and pb.degree() >= 1 and not pr.is_zero())
+    def test_remainder_only_the_top_coefficients_reveal(self, pa, fs, r):
+        # every pass is a running sum, which never fails on its own, so only
+        # the vanishing of a pass's last k entries can reject a + r / divisor
+        divisor = product(fs)
+        pr = IntPoly(r).truncate(divisor.degree())
+        assume(not pr.is_zero())
         with pytest.raises(NonDivisible, match="remainder is nonzero"):
-            poly_exact_div(schoolbook(pa, pb) + pr, pb)
+            poly_exact_div(schoolbook(pa, divisor) + pr, fs)
 
 
 class TestTruncSeries:
     def test_geometric_like_expansion(self):
         # (1+t)^2 / (1-t) = 1 + 3t + 4t^2 + 4t^3 + 4t^4 + ...
-        s = series_expand(ONE_PLUS_T**2, ONE_MINUS_T, 5)
+        s = series_expand(ONE_PLUS_T**2, [ONE_MINUS_T], 5)
         assert [s.coefficient(i) for i in range(5)] == [1, 3, 4, 4, 4]
 
-    def test_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTerm):
-            series_expand(ONE_PLUS_T, IntPoly([0, 1]), 3)
+    def test_factor_other_than_one_plus_minus_t_k_is_refused(self):
+        # among them t, whose zero constant term has no power-series inverse
+        for factor in NOT_ONE_PLUS_MINUS_T_K:
+            with pytest.raises(ValueError):
+                series_expand(ONE_PLUS_T, [factor], 3)
 
     def test_coefficient_past_order(self):
-        s = series_expand(ONE_PLUS_T, ONE_MINUS_T, 3)
+        s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 3)
         with pytest.raises(IndexError):
             s.coefficient(3)
 
     def test_order_zero_is_empty(self):
-        s = series_expand(ONE_PLUS_T, ONE_MINUS_T, 0)
+        s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 0)
         assert s.order == 0
         with pytest.raises(IndexError):
             s.coefficient(0)
@@ -350,11 +370,19 @@ class TestTruncSeries:
         assert (a * b).order == 3
 
     def test_polynomial_part_guard(self):
-        s = series_expand(ONE_PLUS_T, ONE_MINUS_T, 6)
+        s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 6)
         with pytest.raises(TailNonzero):
             s.polynomial_part(2)
         exact = TruncSeries(IntPoly([1, 2]), 6)
         assert exact.polynomial_part(3) == IntPoly([1, 2])
+
+    @pytest.mark.parametrize("max_degree", [0, 3, 7])
+    def test_polynomial_part_reads_the_first_guard_coefficient(self, max_degree):
+        # the only nonzero coefficient past max_degree sits right above it
+        s = TruncSeries(IntPoly([1] + [0] * max_degree + [5]), max_degree + 4)
+        with pytest.raises(TailNonzero, match=f"at t\\^{max_degree + 1} "):
+            s.polynomial_part(max_degree)
+        assert s.polynomial_part(max_degree + 1) == s.poly
 
     def test_series_multiplication_matches_polynomial(self):
         p, q = IntPoly([1, 2, 3]), IntPoly([4, 0, 5])
@@ -368,35 +396,20 @@ class TestTruncSeries:
         assert (TruncSeries(p, o1) * q).poly == full.truncate(o1)
         assert (TruncSeries(p, o1) * 3).poly == (p * 3).truncate(o1)
 
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
-            lambda c: [1 if c[0] >= 0 else -1] + c[1:]
-        ),
-        st.integers(1, 12),
-    )
+    @given(polys, factors, st.integers(0, 16))
     @settings(max_examples=60)
-    def test_expansion_times_denominator_recovers_numerator(self, num, den, order):
-        pn, pd = IntPoly(num), IntPoly(den)
-        s = series_expand(pn, pd, order)
-        product = (s.poly * pd).truncate(order)
-        assert product == pn.truncate(order)
+    def test_expansion_times_denominator_recovers_numerator(self, pn, fs, order):
+        s = series_expand(pn, fs, order)
+        assert s.order == order
+        assert schoolbook(s.poly, product(fs)).truncate(order) == pn.truncate(order)
 
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
-            lambda c: [1 if c[0] >= 0 else -1] + c[1:]
-        ),
-        st.integers(1, 8),
-        st.integers(1, 8),
-    )
+    @given(polys, factors, st.integers(0, 12), st.integers(0, 12))
     @settings(max_examples=60)
-    def test_truncation_consistency(self, num, den, o1, o2):
+    def test_truncation_consistency(self, pn, fs, o1, o2):
         # expanding further and then truncating matches the shorter expansion
         lo, hi = sorted((o1, o2))
-        pn, pd = IntPoly(num), IntPoly(den)
-        short = series_expand(pn, pd, lo)
-        long = series_expand(pn, pd, hi)
+        short = series_expand(pn, fs, lo)
+        long = series_expand(pn, fs, hi)
         assert long.poly.truncate(lo) == short.poly
 
 

@@ -252,3 +252,14 @@ class TestHNCodim:
         for g in range(2, 6):
             for k in range(1, 5):
                 assert hn_codim_rank2(g, k) == 2 * g + 4 * k - 4
+
+    def test_real_codimension_of_atiyah_bott(self):
+        # Atiyah-Bott: the stratum of HN type (d1, d2), d1 > d2, has complex
+        # codimension d1 - d2 + g - 1; on degree 1 the unstable types are
+        # (k, 1 - k), k >= 1, the first being (1, 0)
+        for g in range(2, 8):
+            for k in range(1, 6):
+                d1, d2 = k, 1 - k
+                assert d1 > d2 and d1 + d2 == 1
+                assert hn_codim_rank2(g, k) == 2 * (d1 - d2 + g - 1)
+        assert hn_codim_rank2(4, 1) == 2 * 4  # (1, 0): real codimension 2g

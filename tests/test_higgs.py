@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from higgsmoduli import higgs, strata
 from higgsmoduli.bundles import poincare_N_closed
-from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
+from higgsmoduli.exactpoly import IntPoly, NonDivisible, coeff_extract_x
 from higgsmoduli.higgs import DegreeOverflow, fixed_locus_poincare, poincare_M_closed, poincare_M_stratified
 from higgsmoduli.strata import bb_codimension, variant_hodge_numbers
 
@@ -174,6 +174,13 @@ class TestClosedForm:
         closed = mutated_closed_form(original, mutant)
         for g in (2, 3, 10):
             with pytest.raises(ArithmeticError):
+                closed(g)
+
+    def test_a_bracket_not_divisible_by_4_fails_its_own_check(self):
+        # 1 + t + t^2 in place of 1 + t^2 puts 4g - 2 at t^1 of the bracket
+        closed = mutated_closed_form("_ONE_PLUS_T2 ** 2", "IntPoly([1, 1, 1]) ** 2")
+        for g in (2, 3, 10):
+            with pytest.raises(NonDivisible, match="not divisible by 4"):
                 closed(g)
 
     def test_mutated_polynomial_term_needs_the_other_route(self):
