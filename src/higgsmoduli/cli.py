@@ -51,8 +51,9 @@ from types import SimpleNamespace
 
 __all__ = ["build_parser", "run", "main"]
 
-# The cap of mirror --sample bounds the sampled sweep's time, O(g) pairings an
-# element; without --sample the certificate covers every element.
+# mirror prints 1.1 MB of JSON at its genus cap; the sample cap bounds the sweep
+# (O(g) pairings an element; without --sample a certificate covers all).
+MIRROR_MAX_GENUS = 128
 MIRROR_MAX_SAMPLE = 65535
 # Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
 # takes about 0.4 s; macdonald at the caps prints about 2.6 MB.
@@ -113,7 +114,7 @@ COMMANDS = {
         ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
         ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both"))]),
     ("mirror",): ("verify the rank-2 mirror-symmetry identity", "_cmd_mirror.mirror", [
-        ("--genus", dict(type=int, required=True, help="curve genus, 2 to 10")),
+        ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {MIRROR_MAX_GENUS}")),
         ("--sample", dict(type=int, default=None,
                           help="check this many random nonzero elements instead of all "
                           f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),

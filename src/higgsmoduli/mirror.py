@@ -54,9 +54,8 @@ pairings, and elimination on rows packed into ints O(g^2) word operations,
 where the sweep reads (4^g - 1)(2g + 1) pairings; the certificate builds
 each element it reads from an int in O(1) word operations.  A singular
 matrix yields a kernel vector, whose zero row fails the identity; a kernel
-vector whose row is nonzero all the same raises PairingNotBilinear.  The
-right side is computed only up to genus MAX_GENUS; larger genera are
-rejected with ValueError.
+vector whose row is nonzero all the same raises PairingNotBilinear.  Every
+genus g >= 2 is accepted; the command line caps the genus it passes.
 """
 import operator
 from collections import defaultdict
@@ -64,10 +63,6 @@ from math import comb
 
 from . import strata
 from ._record import Record
-
-# The largest genus the right side is computed for; a sampled sweep there
-# may read up to 4^g - 2 elements, about a million.
-MAX_GENUS = 10
 
 
 class LengthMismatch(ValueError):
@@ -328,13 +323,6 @@ def _certificate(g: int) -> Gamma2Element:
     return basis[0]
 
 
-def _check_genus(g: int) -> None:
-    """The right side is computed for 2 <= g <= MAX_GENUS only."""
-    strata._check_genus(g)
-    if g > MAX_GENUS:
-        raise ValueError(f"genus must be at most {MAX_GENUS} for the mirror check, got {g}")
-
-
 def _rhs_from_count(g: int, minus: int) -> BivarPoly:
     """
     The right side for a gamma with N_-(gamma) = minus, written one
@@ -375,9 +363,9 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
 
     The average takes N_-(gamma) from gamma's row of the pairing on the
     basis vectors, which assumes the pairing is bilinear in its second
-    argument.  Raises ValueError for g above MAX_GENUS.
+    argument.  Raises ValueError for g below 2.
     """
-    _check_genus(g)
+    strata._check_genus(g)
     if gamma.g != g:
         raise LengthMismatch(f"gamma has length {2 * gamma.g}, expected {2 * g}")
     if gamma.is_zero():
@@ -398,20 +386,21 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     """
     Check e_poly_kappa_lhs(g) == e_poly_rhs(g, gamma) exactly, for every
     nonzero gamma (sample=None, or a sample at least 4^g - 1) or for
-    `sample` of them chosen with the given seed.  The sampled check reads
-    each count from gamma's row of the pairing, and the right side is built
-    once per distinct N_-(gamma).  The exhaustive check certifies over GF(2)
-    that every count is the same, assuming the pairing is linear in its
-    first argument, and then checks the one gamma the certificate returns.
-    It reads O(g^2) pairings and builds each element from an int, never
-    through the validating constructor, so the CLI runs it by default at
-    every genus up to MAX_GENUS.
+    `sample` of them chosen with the given seed.  The sampled check makes
+    `sample` draws and holds O(sample) values at any genus, and reads each
+    count from gamma's row of the pairing; the right side is built and
+    compared once per distinct N_-(gamma).  The exhaustive check
+    certifies over GF(2) that every count is the same, assuming the pairing
+    is linear in its first argument, and then checks the one gamma the
+    certificate returns.  It reads O(g^2) pairings and builds each element
+    from an int, never through the validating constructor, so the CLI runs
+    it by default at every genus it accepts.
     Returns a report on success; raises IdentityViolation with the first
     differing coefficient otherwise, PairingNotAlternating or
     PairingNotBilinear for a pairing the count cannot use, or ValueError
-    for g above MAX_GENUS.
+    for g below 2.
     """
-    _check_genus(g)
+    strata._check_genus(g)
     population = (1 << (2 * g)) - 1
     if sample is None or sample >= population:
         sample, gammas = population, [_certificate(g)]
@@ -420,14 +409,19 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
             raise ValueError("sample must be positive")
         import random
 
-        values = random.Random(seed).sample(range(1, population + 1), sample)
+        # Floyd's draw: `sample` distinct values, uniform, in `sample` steps.
+        # random.sample takes the population's len, past ssize_t from g = 32 on.
+        draw, values = random.Random(seed).randrange, {}
+        for top in range(population - sample + 1, population + 1):
+            value = draw(1, top + 1)
+            values[top if value in values else value] = None
         gammas = (Gamma2Element.from_int(value, g) for value in values)
     lhs = e_poly_kappa_lhs(g)
     rhs_by_count = {}
     for gamma, minus in _minus_counts(g, gammas):  # at least one gamma, so rhs is bound
-        rhs = rhs_by_count.get(minus)
-        if rhs is None:
-            rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
+        if minus in rhs_by_count:
+            continue
+        rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
         if rhs != lhs:
             for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
                 if lhs.coefficient(*key) != rhs.coefficient(*key):

@@ -273,19 +273,23 @@ class TestMirror:
         assert certified == [7, 10]
 
     def test_help_states_the_genus_range(self, capsys):
-        from higgsmoduli import mirror
-
         code, out, _ = invoke(capsys, "mirror", "--help")
-        assert code == 0 and f"2 to {mirror.MAX_GENUS}" in out
+        assert code == 0 and f"2 to {cli.MIRROR_MAX_GENUS}" in out
 
     def test_genus_cap(self, capsys):
-        code, out, err = invoke(capsys, "mirror", "--genus", "11")
+        cap = cli.MIRROR_MAX_GENUS
+        code, out, err = invoke(capsys, "mirror", "--genus", str(cap + 1))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "at most 10" in err
-        code, out, _ = invoke(capsys, "mirror", "--genus", "10", "--sample", "1")
+        assert err == f"error: --genus must be at most {cap}, got {cap + 1}\n"
+        code, out, _ = invoke(capsys, "mirror", "--genus", str(cap), "--sample", "1")
         assert code == 0
-        assert "1 elements checked, pass" in out
+        assert f"genus {cap}: 1 elements checked, pass" in out
+
+    def test_sample_past_ssize_t(self, capsys):
+        # from g = 32 on, 4^g - 1 does not fit a C ssize_t; the draw never needs it to
+        code, out, err = invoke(capsys, "mirror", "--genus", "32", "--sample", "3")
+        assert (code, out, err) == (0, "genus 32: 3 elements checked, pass\n", "")
 
     def test_sample_cap(self, capsys):
         # the cap is MIRROR_MAX_SAMPLE, at every genus
@@ -555,7 +559,7 @@ usage: higgsmoduli mirror [-h] --genus GENUS [--sample SAMPLE] [--seed SEED]
 
 options:
   -h, --help            show this help message and exit
-  --genus GENUS         curve genus, 2 to 10
+  --genus GENUS         curve genus, 2 to 128
   --sample SAMPLE       check this many random nonzero elements instead of all
                         2^(2g)-1, at most 65535
   --seed SEED
@@ -1022,8 +1026,9 @@ def test_benchmarked_calls_are_inside_the_caps(bench):
             assert args.genus <= cli.POINCARE_MAX_GENUS, argv
         elif args.command == "macdonald":
             assert args.genus <= cli.MACDONALD_MAX_GENUS and args.n <= cli.MACDONALD_MAX_N, argv
-        elif args.command == "mirror" and args.sample is not None:
-            assert args.sample <= cli.MIRROR_MAX_SAMPLE, argv
+        elif args.command == "mirror":
+            assert args.genus <= cli.MIRROR_MAX_GENUS, argv
+            assert args.sample is None or args.sample <= cli.MIRROR_MAX_SAMPLE, argv
         elif args.command in ("dims", "spectral"):
             assert max(args.rank, args.genus, abs(args.degree)) <= cli.NUMBER_MAX, argv
         elif args.command == "git" and args.git_command == "hm":

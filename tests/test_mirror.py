@@ -323,10 +323,12 @@ class TestRhs:
         polys = [e_poly_rhs(2, gamma) for gamma in all_elements(2) if not gamma.is_zero()]
         assert all(p == polys[0] for p in polys)
 
-    def test_genus_above_the_cap_rejected(self):
-        # above the cap the pairing count is not computed, and no closed form stands in
-        with pytest.raises(ValueError, match="at most 10"):
-            e_poly_rhs(11, Gamma2Element.from_int(1, 11))
+    def test_every_genus_from_two_accepted(self):
+        # the layer has no cap of its own: the command line caps the genus it passes
+        for g in (11, 32):
+            assert e_poly_rhs(g, Gamma2Element.from_int(1, g)) == e_poly_kappa_lhs(g)
+        with pytest.raises(ValueError, match="at least 2"):
+            e_poly_rhs(1, Gamma2Element.from_int(1, 1))
 
     def test_trivial_element_rejected(self):
         with pytest.raises(TrivialElement):
@@ -401,9 +403,40 @@ class TestMirrorVerify:
         assert report.elements_checked == 5
         assert report.passed
 
-    def test_genus_above_the_cap_rejected(self):
-        with pytest.raises(ValueError, match="at most 10"):
-            mirror_verify(11, sample=1)
+    def test_every_genus_from_two_accepted(self):
+        for g in (11, 32):
+            report = mirror_verify(g, sample=3)
+            assert report.passed and report.elements_checked == 3
+        with pytest.raises(ValueError, match="at least 2"):
+            mirror_verify(1, sample=1)
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Every gamma the check reads, in order."""
+        drawn = []
+        counts = mirror_mod._minus_counts
+        monkeypatch.setattr(mirror_mod, "_minus_counts",
+                            lambda g, gammas: counts(g, (drawn.append(x) or x for x in gammas)))
+        return drawn
+
+    @pytest.mark.parametrize("g", [32, cli.MIRROR_MAX_GENUS])
+    def test_sample_past_ssize_t(self, g, drawn):
+        # from g = 32 on, 4^g - 1 does not fit a C ssize_t, so no range of the
+        # population can be sampled; the draw holds only the values it draws
+        report = mirror_verify(g, sample=100, seed=7)
+        assert report.passed and report.elements_checked == 100
+        assert len(set(drawn)) == 100 and not any(gamma.is_zero() for gamma in drawn)
+        assert drawn[0].g == g
+
+    def test_sample_draws_distinct_nonzero_elements(self, drawn):
+        # one short of the whole group: every nonzero element but one
+        mirror_verify(2, sample=14, seed=5)
+        assert len(set(drawn)) == 14 and not any(gamma.is_zero() for gamma in drawn)
+        # a single draw reaches every nonzero element over a few seeds
+        drawn.clear()
+        for seed in range(200):
+            mirror_verify(2, sample=1, seed=seed)
+        assert len(set(drawn)) == 15
 
     def test_sample_is_seed_deterministic(self):
         a = mirror_verify(4, sample=6, seed=3)
@@ -591,6 +624,40 @@ class TestCertificate:
         report = mirror_verify(10)
         assert report.passed and report.elements_checked == 4**10 - 1
         assert calls < 1000
+
+
+class TestAtTheCap:
+    """The certificate's cost and the mutants, at the largest genus the command line accepts."""
+
+    MUTANTS = {
+        "shifted_first_codimension": shifted_first_codimension,
+        "constant_pairing": lambda mp: mp.setattr(mirror_mod, "weil_pairing", lambda a, b: 1),
+        "fermionic_shift": lambda mp: mp.setattr(mirror_mod, "fermionic_shift", lambda g: 2 * g - 1),
+        "moved_hodge_unit": moved_hodge_unit,
+    }
+
+    def test_pairing_calls(self, monkeypatch):
+        g = cli.MIRROR_MAX_GENUS
+        n = 2 * g
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return weil_pairing(a, b)
+
+        monkeypatch.setattr(mirror_mod, "weil_pairing", counted)
+        report = mirror_verify(g)
+        assert report.passed and report.elements_checked == 4**g - 1
+        # self-pairings on weights 1 and 2, the Gram rows, the kernel vector's row, the one gamma
+        assert calls <= n * (n + 1) // 2 + n * n + 2 * n + 1
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutant_fails(self, mutant, monkeypatch):
+        self.MUTANTS[mutant](monkeypatch)
+        with pytest.raises(IdentityViolation) as exc_info:
+            mirror_verify(cli.MIRROR_MAX_GENUS)
+        assert exc_info.value.genus == cli.MIRROR_MAX_GENUS
 
 
 class TestExponentBookkeeping:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import higgsmoduli
+from higgsmoduli import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
@@ -98,7 +99,10 @@ def test_value_above_a_cap_is_rejected_before_any_layer_loads():
                            "_cmd_geometry"),
                           (["git", "hm", "--blocks", "1:1:1:0", "--m", "1000001", "--genus", "2"],
                            "_cmd_git"),
-                          (["macdonald", "--genus", "201", "--n", "1"], "_cmd_macdonald")):
+                          (["macdonald", "--genus", "201", "--n", "1"], "_cmd_macdonald"),
+                          (["poincare", "--space", "higgs", "--genus", "401"], "_cmd_poincare"),
+                          (["mirror", "--genus", str(cli.MIRROR_MAX_GENUS + 1)], "_cmd_mirror"),
+                          (["mirror", "--genus", "2", "--sample", "65536"], "_cmd_mirror")):
         modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 2")
         held = {m for m in modules if m.startswith("higgsmoduli.")}
         assert held == {"higgsmoduli.cli", f"higgsmoduli.{handler}"}, argv
@@ -110,7 +114,7 @@ def test_names_resolve_lazily():
     modules = loaded_modules("from higgsmoduli import moduli_dim")
     assert "higgsmoduli.geometry" in modules and "higgsmoduli.exactpoly" not in modules
     # a submodule is still an attribute of the package, as under an eager import
-    modules = loaded_modules("import higgsmoduli; higgsmoduli.mirror.MAX_GENUS")
+    modules = loaded_modules("import higgsmoduli; higgsmoduli.mirror.mirror_verify")
     assert "higgsmoduli.mirror" in modules
     assert set(higgsmoduli.__all__) <= set(dir(higgsmoduli))
     with pytest.raises(AttributeError, match="no_such_name"):
