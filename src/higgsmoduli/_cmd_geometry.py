@@ -1,16 +1,8 @@
-"""The dims and spectral subcommands, which share their caps."""
-from .cli import NUMBER_MAX, _at_most, _latex_table
-
-
-def _check_numbers(args) -> None:
-    """The caps of dims and spectral, checked before the layer is imported."""
-    _at_most("--rank", args.rank, NUMBER_MAX)
-    _at_most("--genus", args.genus, NUMBER_MAX)
-    _at_most("|--degree|", abs(args.degree), NUMBER_MAX)
+"""The dims and spectral subcommands."""
+from .cli import _latex_table
 
 
 def dims(args) -> tuple[dict, str, str]:
-    _check_numbers(args)
     from . import geometry
 
     params = geometry.ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
@@ -32,7 +24,6 @@ def dims(args) -> tuple[dict, str, str]:
 
 
 def spectral(args) -> tuple[dict, str, str]:
-    _check_numbers(args)
     from . import geometry
 
     numbers = geometry.spectral_numbers(args.rank, args.genus, args.degree)

@@ -33,8 +33,6 @@ def _parse_blocks(text: str) -> list[tuple[int, ...]]:
 
 
 def hm(args) -> tuple[dict, str, str]:
-    _at_most("|--m|", abs(args.m), NUMBER_MAX)
-    _at_most("--genus", args.genus, NUMBER_MAX)
     blocks = _parse_blocks(args.blocks)
     from . import stability
 

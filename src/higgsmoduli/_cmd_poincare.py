@@ -1,10 +1,11 @@
 """The poincare subcommand: both pipelines of one space, or one of them."""
-from .cli import POINCARE_MAX_GENUS, _at_most, _latex, _latex_table
+from .cli import _latex, _latex_table
 
 
 def poincare(args):
     g = args.genus
-    _at_most("--genus", g, POINCARE_MAX_GENUS)
+    if args.via not in ("both", "closed", "recursion" if args.space == "vector-bundles" else "strata"):
+        raise ValueError(f"--via {args.via} does not apply to --space {args.space}")
     if args.space == "vector-bundles":
         from . import bundles
 
@@ -13,8 +14,6 @@ def poincare(args):
         from . import higgs
 
         pipelines = {"closed": higgs.poincare_M_closed, "strata": higgs.poincare_M_stratified}
-    if args.via != "both" and args.via not in pipelines:
-        raise ValueError(f"--via {args.via} does not apply to --space {args.space}")
 
     payload = {"space": args.space, "genus": g, "via": args.via}
     if args.via != "both":

@@ -2,13 +2,13 @@
 Command-line surface.
 
 Each subcommand is declared once, in COMMANDS: its words, help, handler and
-arguments, then --format.  The handler lives in a small private module of its
-own (_cmd_poincare, _cmd_mirror, _cmd_geometry for dims and spectral, _cmd_git
-for git classify and git hm, _cmd_macdonald), which run imports after the
-parse, so a call compiles only the handler it runs.  A handler checks its
-caps, calls the computation module and returns its outputs, a JSON payload and
-the plain and LaTeX texts; run prints the one that --format names.  Exit codes
-are meant for scripted pipelines:
+arguments, then --format.  run checks the caps that the arguments declare,
+then imports the handler from its own small module (_cmd_poincare,
+_cmd_mirror, _cmd_geometry for dims and spectral, _cmd_git for git classify
+and git hm, _cmd_macdonald), so a call compiles only the handler it runs.  A
+handler calls the computation module and returns its outputs, a JSON payload
+and the plain and LaTeX texts; run prints the one that --format names.  Exit
+codes are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
@@ -51,15 +51,6 @@ from types import SimpleNamespace
 
 __all__ = ["build_parser", "run", "main"]
 
-# mirror prints 1.1 MB of JSON at its genus cap; the sample cap bounds the sweep
-# (O(g) pairings an element; without --sample a certificate covers all).
-MIRROR_MAX_GENUS = 128
-MIRROR_MAX_SAMPLE = 65535
-# Input caps: the slowest accepted poincare call (vector-bundles, g = 400)
-# takes about 0.4 s; macdonald at the caps prints about 2.6 MB.
-POINCARE_MAX_GENUS = 400
-MACDONALD_MAX_GENUS = 200
-MACDONALD_MAX_N = 10000
 # Each integer of dims, spectral and git hm, in absolute value: no result nears
 # the 4300-digit print limit.
 NUMBER_MAX = 10**6
@@ -101,23 +92,26 @@ def _output(fmt: str, payload: dict, plain, latex) -> None:
 # function of a private module, named relative to the package) and its
 # arguments, each a flag and its add_argument options.  Every subcommand also
 # takes FORMAT, last.  The first of two words names a group of GROUPS,
-# which has its own help.
+# which has its own help.  A capped flag's options hold its cap (abs_cap caps
+# |value|), which its help states.  At the caps, poincare (vector-bundles)
+# takes about 0.4 s, mirror prints 1.1 MB of JSON (the sample cap bounds the
+# sampled sweep, O(g) pairings an element) and macdonald 2.6 MB.
 FORMAT = ("--format", dict(choices=["plain", "json", "latex"], default="plain"))
 GROUPS = {"git": "GIT stability tools"}
 # The declarations that dims, spectral and git hm share
-_RANK = ("--rank", dict(type=int, required=True, help=f"at most {NUMBER_MAX}"))
-_GENUS = ("--genus", dict(type=int, required=True, help=f"curve genus, at most {NUMBER_MAX}"))
-_DEGREE = dict(type=int, help=f"|degree| at most {NUMBER_MAX}")
+_RANK = ("--rank", dict(type=int, required=True, cap=NUMBER_MAX, help=f"at most {NUMBER_MAX}"))
+_GENUS = ("--genus", dict(type=int, required=True, cap=NUMBER_MAX,
+                          help=f"curve genus, at most {NUMBER_MAX}"))
+_DEGREE = dict(type=int, abs_cap=NUMBER_MAX, help=f"|degree| at most {NUMBER_MAX}")
 COMMANDS = {
     ("poincare",): ("Poincare polynomial of a moduli space", "_cmd_poincare.poincare", [
         ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
-        ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {POINCARE_MAX_GENUS}")),
+        ("--genus", dict(type=int, required=True, cap=400, help="curve genus, 2 to 400")),
         ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both"))]),
     ("mirror",): ("verify the rank-2 mirror-symmetry identity", "_cmd_mirror.mirror", [
-        ("--genus", dict(type=int, required=True, help=f"curve genus, 2 to {MIRROR_MAX_GENUS}")),
-        ("--sample", dict(type=int, default=None,
-                          help="check this many random nonzero elements instead of all "
-                          f"2^(2g)-1, at most {MIRROR_MAX_SAMPLE}")),
+        ("--genus", dict(type=int, required=True, cap=128, help="curve genus, 2 to 128")),
+        ("--sample", dict(type=int, default=None, cap=65535, help="check this many random "
+                          "nonzero elements instead of all 2^(2g)-1, at most 65535")),
         ("--seed", dict(type=int, default=0))]),
     ("dims",): ("moduli and Hitchin-base dimensions", "_cmd_geometry.dims", [
         _RANK, _GENUS, ("--degree", dict(_DEGREE, default=0)),
@@ -129,13 +123,12 @@ COMMANDS = {
     ("git", "hm"): ("Hilbert-Mumford weight of a filtration", "_cmd_git.hm", [
         ("--blocks", dict(required=True, metavar="N:a:r:d,...",
                           help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
-        ("--m", dict(type=int, required=True, help=f"twist, |m| at most {NUMBER_MAX}")),
+        ("--m", dict(type=int, required=True, abs_cap=NUMBER_MAX,
+                     help=f"twist, |m| at most {NUMBER_MAX}")),
         ("--n", dict(type=int, default=None)), _GENUS]),
     ("macdonald",): ("Poincare polynomial of a symmetric product", "_cmd_macdonald.macdonald", [
-        ("--genus", dict(type=int, required=True,
-                         help=f"curve genus, at most {MACDONALD_MAX_GENUS}")),
-        ("--n", dict(type=int, required=True,
-                     help=f"symmetric power, at most {MACDONALD_MAX_N}"))]),
+        ("--genus", dict(type=int, required=True, cap=200, help="curve genus, at most 200")),
+        ("--n", dict(type=int, required=True, cap=10000, help="symmetric power, at most 10000"))]),
 }
 
 
@@ -159,9 +152,14 @@ def build_parser():
             groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
         p = groups.get(words[0], sub).add_parser(words[-1], help=help_text)
         for flag, options in (*arguments, FORMAT):
-            p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
+            p.add_argument(flag, **{k: v for k, v in options.items() if k not in ("cap", "abs_cap")})
+        p.set_defaults(words=words)
     return parser
+
+
+def _words(argv) -> tuple:
+    """The command words argv starts with: two for a group of GROUPS, else one."""
+    return tuple(argv[:2 if argv[:1] and argv[0] in GROUPS else 1])
 
 
 def _strict_parse(argv) -> SimpleNamespace | None:
@@ -171,13 +169,13 @@ def _strict_parse(argv) -> SimpleNamespace | None:
     that does not start with "-", every type and choices met and every
     required flag present.  None for any other argv, which argparse parses.
     """
-    n = 2 if argv[:1] and argv[0] in GROUPS else 1
+    words = _words(argv)
+    n = len(words)
     given = dict(zip(argv[n::2], argv[n + 1::2]))
-    if tuple(argv[:n]) not in COMMANDS or 2 * len(given) != len(argv) - n:
+    if words not in COMMANDS or 2 * len(given) != len(argv) - n:
         return None  # not a command, a flag without its value, or a repeated flag
-    _, handler, arguments = COMMANDS[tuple(argv[:n])]
     values = {"command": argv[0], **({f"{argv[0]}_command": argv[1]} if n == 2 else {})}
-    for flag, options in (*arguments, FORMAT):
+    for flag, options in (*COMMANDS[words][2], FORMAT):
         value = given.pop(flag, None)
         if value is None:
             if options.get("required"):
@@ -195,7 +193,7 @@ def _strict_parse(argv) -> SimpleNamespace | None:
         values[flag[2:].replace("-", "_")] = value
     if given:
         return None  # an undeclared flag, an abbreviation or a --flag=value
-    return SimpleNamespace(**values, handler=handler)
+    return SimpleNamespace(**values, words=words)
 
 
 def _refuse_double_dash(parser, argv) -> None:
@@ -206,7 +204,7 @@ def _refuse_double_dash(parser, argv) -> None:
     and from 3.13 on as the value "--".  Undeclared flags are left to
     argparse's own message.
     """
-    words = tuple(argv[:2 if argv[:1] and argv[0] in GROUPS else 1])
+    words = _words(argv)
     for arg in argv[len(words):] if words in COMMANDS else ():
         named = [flag for flag, _ in (*COMMANDS[words][2], FORMAT) if flag.startswith(arg[:-3])]
         if arg.startswith("--") and arg.endswith("=--") and len(named) == 1:
@@ -223,10 +221,16 @@ def run(argv) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
-    module, _, name = args.handler.rpartition(".")
-    handler = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    _, handler, arguments = COMMANDS[args.words]
     try:
-        payload, plain, latex = handler(args)
+        for flag, options in arguments:  # every cap, before the handler module loads
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if "abs_cap" in options:
+                _at_most(f"|{flag}|", abs(value), options["abs_cap"])
+            elif "cap" in options and value is not None:
+                _at_most(flag, value, options["cap"])
+        module, _, name = handler.rpartition(".")
+        payload, plain, latex = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args)
         _output(args.format, payload, plain, latex)
         return int(payload.get("agree") is False)  # 1 when --via both's routes disagree
     except ValueError as exc:
@@ -275,3 +279,7 @@ def main() -> None:
         signal.raise_signal(signal.SIGPIPE)
     gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

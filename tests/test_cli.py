@@ -20,6 +20,11 @@ from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def cap(words, flag):
+    """The cap that cli.COMMANDS declares for flag of the command words."""
+    return dict(cli.COMMANDS[words][2])[flag]["cap"]
+
+
 def invoke(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -274,17 +279,17 @@ class TestMirror:
 
     def test_help_states_the_genus_range(self, capsys):
         code, out, _ = invoke(capsys, "mirror", "--help")
-        assert code == 0 and f"2 to {cli.MIRROR_MAX_GENUS}" in out
+        assert code == 0 and f"2 to {cap(('mirror',), '--genus')}" in out
 
     def test_genus_cap(self, capsys):
-        cap = cli.MIRROR_MAX_GENUS
-        code, out, err = invoke(capsys, "mirror", "--genus", str(cap + 1))
+        top = cap(("mirror",), "--genus")
+        code, out, err = invoke(capsys, "mirror", "--genus", str(top + 1))
         assert code == 2
         assert out == ""
-        assert err == f"error: --genus must be at most {cap}, got {cap + 1}\n"
-        code, out, _ = invoke(capsys, "mirror", "--genus", str(cap), "--sample", "1")
+        assert err == f"error: --genus must be at most {top}, got {top + 1}\n"
+        code, out, _ = invoke(capsys, "mirror", "--genus", str(top), "--sample", "1")
         assert code == 0
-        assert f"genus {cap}: 1 elements checked, pass" in out
+        assert f"genus {top}: 1 elements checked, pass" in out
 
     def test_sample_past_ssize_t(self, capsys):
         # from g = 32 on, 4^g - 1 does not fit a C ssize_t; the draw never needs it to
@@ -292,7 +297,7 @@ class TestMirror:
         assert (code, out, err) == (0, "genus 32: 3 elements checked, pass\n", "")
 
     def test_sample_cap(self, capsys):
-        # the cap is MIRROR_MAX_SAMPLE, at every genus
+        # the cap is the same at every genus
         code, out, err = invoke(capsys, "mirror", "--genus", "10", "--sample", "65536")
         assert code == 2
         assert out == ""
@@ -641,6 +646,33 @@ def test_help_screen_bytes(capsys, monkeypatch, command):
     assert out.encode() == HELP_SCREENS[command].encode()
 
 
+# Every capped flag of cli.COMMANDS: its command words, the flag and its options
+CAPPED = [(words, flag, options) for words, (_, _, arguments) in cli.COMMANDS.items()
+          for flag, options in arguments if "cap" in options or "abs_cap" in options]
+
+
+@pytest.mark.parametrize("words, flag, options", CAPPED,
+                         ids=[" ".join([*words, flag]) for words, flag, _ in CAPPED])
+def test_help_states_each_cap(capsys, monkeypatch, words, flag, options):
+    # the flag's --help line ends with the cap that run checks, and has bars
+    # (|degree|) exactly when the cap is on the absolute value
+    monkeypatch.setenv("COLUMNS", "200")  # one line a flag
+    code, out, _ = invoke(capsys, *words, "--help")
+    line = next(line for line in out.splitlines() if line.lstrip().startswith(f"{flag} "))
+    assert code == 0
+    assert line.endswith(f" {options.get('cap', options.get('abs_cap'))}")
+    assert ("|" in line) == ("abs_cap" in options)
+
+
+def test_every_stated_cap_is_declared():
+    # a help that states a cap belongs to a capped flag, save --blocks, whose
+    # entries only the handler parses and caps
+    stated = {(words, flag) for words, (_, _, arguments) in cli.COMMANDS.items()
+              for flag, options in arguments if "at most" in options.get("help", "")
+              or " to " in options.get("help", "")}
+    assert stated - {(words, flag) for words, flag, _ in CAPPED} == {(("git", "hm"), "--blocks")}
+
+
 # Stand-in pipelines, defined once for the test process and for a child.
 STAND_INS = """
 from higgsmoduli.exactpoly import IntPoly
@@ -805,6 +837,20 @@ class TestPlumbing:
         assert done.stdout == expected.out.encode()
         assert done.stderr == (expected.err + interrupted).encode()
         assert int(report.read_text()) > 0
+
+    def test_module_form_prints_what_main_prints(self):
+        # python -m higgsmoduli.cli runs main, as the installed entry point does
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        over = str(cap(("mirror",), "--genus") + 1)
+        for argv, code in ((["mirror", "--genus", "2", "--format", "json"], 0),
+                           (["mirror", "--genus", over], 2)):
+            module, entry = (subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                                            env=env, timeout=60)
+                             for head in (["-m", "higgsmoduli.cli"],
+                                          ["-c", "from higgsmoduli.cli import main; main()"]))
+            assert (module.returncode, entry.returncode) == (code, code)
+            assert (module.stdout, module.stderr) == (entry.stdout, entry.stderr)
+            assert entry.stdout if code == 0 else entry.stderr.startswith(b"error: ")
 
     def test_run_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
@@ -1016,25 +1062,25 @@ def bench(monkeypatch):
 
 
 def test_benchmarked_calls_are_inside_the_caps(bench):
+    # each cap as cli.COMMANDS declares it, and the handler's cap on a --blocks entry
     parser = cli.build_parser()
     argvs = [argv for workload in bench.WORKLOADS for argv in bench.all_argvs(workload)]
-    commands = set()
+    checked = set()
     for argv in argvs:
         args = parser.parse_args(list(argv))
-        commands.add(args.command)
-        if args.command == "poincare":
-            assert args.genus <= cli.POINCARE_MAX_GENUS, argv
-        elif args.command == "macdonald":
-            assert args.genus <= cli.MACDONALD_MAX_GENUS and args.n <= cli.MACDONALD_MAX_N, argv
-        elif args.command == "mirror":
-            assert args.genus <= cli.MIRROR_MAX_GENUS, argv
-            assert args.sample is None or args.sample <= cli.MIRROR_MAX_SAMPLE, argv
-        elif args.command in ("dims", "spectral"):
-            assert max(args.rank, args.genus, abs(args.degree)) <= cli.NUMBER_MAX, argv
-        elif args.command == "git" and args.git_command == "hm":
+        for flag, options in cli.COMMANDS[args.words][2]:
+            value = getattr(args, flag[2:])
+            if "abs_cap" in options:
+                assert abs(value) <= options["abs_cap"], argv
+            elif "cap" in options and value is not None:
+                assert value <= options["cap"], argv
+            else:
+                continue
+            checked.add((args.words, flag))
+        if args.words == ("git", "hm"):
             entries = [int(x) for block in args.blocks.split(",") for x in block.split(":")]
-            assert max(abs(args.m), args.genus, *map(abs, entries)) <= cli.NUMBER_MAX, argv
-    assert {"poincare", "macdonald", "mirror", "dims", "spectral", "git"} <= commands
+            assert max(map(abs, entries)) <= cli.NUMBER_MAX, argv
+    assert {words for words, _ in checked} == {words for words, _, _ in CAPPED}
 
 
 def test_benchmarked_calls_print_the_recorded_bytes(capsys, bench):

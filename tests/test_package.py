@@ -11,14 +11,13 @@ from pathlib import Path
 import pytest
 
 import higgsmoduli
-from higgsmoduli import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
 
 
-def loaded_modules(code):
-    """The modules a fresh interpreter holds after running `code`.
+def run_child(code):
+    """The modules a fresh interpreter holds after running `code`, and its stderr.
 
     -S keeps site-packages start-up files (which may import modules of their
     own) out of the count, so only the interpreter and the code remain.
@@ -26,7 +25,11 @@ def loaded_modules(code):
     code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
-    return set(done.stdout.splitlines()[-1].split())
+    return set(done.stdout.splitlines()[-1].split()), done.stderr
+
+
+def loaded_modules(code):
+    return run_child(code)[0]
 
 
 def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
@@ -92,20 +95,49 @@ def test_call_loads_exactly_its_modules(argv, layers, absent):
     assert modules & absent == set()
 
 
+# Over-cap argvs, one for each capped flag and one for each order in which
+# two caps are checked, with the one error line each prints.
+OVER_CAP = [
+    (["poincare", "--space", "higgs", "--genus", "401"], "--genus must be at most 400, got 401"),
+    (["mirror", "--genus", "129"], "--genus must be at most 128, got 129"),
+    (["mirror", "--genus", "2", "--sample", "65536"], "--sample must be at most 65535, got 65536"),
+    (["mirror", "--genus", "129", "--sample", "65536"], "--genus must be at most 128, got 129"),
+    (["dims", "--rank", "1000001", "--genus", "2"], "--rank must be at most 1000000, got 1000001"),
+    (["dims", "--rank", "2", "--genus", "1000001"], "--genus must be at most 1000000, got 1000001"),
+    (["dims", "--rank", "2", "--genus", "2", "--degree=-1000001"],
+     "|--degree| must be at most 1000000, got 1000001"),
+    (["spectral", "--rank", "1000001", "--genus", "1000001", "--degree", "1000001"],
+     "--rank must be at most 1000000, got 1000001"),
+    (["spectral", "--rank", "2", "--genus", "1000001", "--degree", "1000001"],
+     "--genus must be at most 1000000, got 1000001"),
+    (["spectral", "--rank", "2", "--genus", "2", "--degree", "1000001"],
+     "|--degree| must be at most 1000000, got 1000001"),
+    (["git", "hm", "--blocks", "1:1:1:-1000001", "--m", "1000001", "--genus", "1000001"],
+     "|--m| must be at most 1000000, got 1000001"),
+    (["git", "hm", "--blocks", "1:1:1:-1000001", "--m", "5", "--genus", "1000001"],
+     "--genus must be at most 1000000, got 1000001"),
+    (["macdonald", "--genus", "201", "--n", "10001"], "--genus must be at most 200, got 201"),
+    (["macdonald", "--genus", "2", "--n", "10001"], "--n must be at most 10000, got 10001"),
+]
+# Inputs a handler refuses, before it imports its layer: a --blocks entry,
+# which only the handler parses, and a --via that does not apply to --space.
+REFUSED_BY_THE_HANDLER = [
+    (["git", "hm", "--blocks", "1:1:1:-1000001", "--m", "5", "--genus", "2"],
+     "|--blocks entry| must be at most 1000000, got 1000001", "_cmd_git"),
+    (["poincare", "--space", "higgs", "--genus", "3", "--via", "recursion"],
+     "--via recursion does not apply to --space higgs", "_cmd_poincare"),
+    (["poincare", "--space", "vector-bundles", "--genus", "3", "--via", "strata"],
+     "--via strata does not apply to --space vector-bundles", "_cmd_poincare"),
+]
+
+
 def test_value_above_a_cap_is_rejected_before_any_layer_loads():
-    # the handler module checks the caps, before it imports its layer
-    for argv, handler in ((["dims", "--rank", "1000001", "--genus", "2"], "_cmd_geometry"),
-                          (["spectral", "--rank", "2", "--genus", "1000001", "--degree", "0"],
-                           "_cmd_geometry"),
-                          (["git", "hm", "--blocks", "1:1:1:0", "--m", "1000001", "--genus", "2"],
-                           "_cmd_git"),
-                          (["macdonald", "--genus", "201", "--n", "1"], "_cmd_macdonald"),
-                          (["poincare", "--space", "higgs", "--genus", "401"], "_cmd_poincare"),
-                          (["mirror", "--genus", str(cli.MIRROR_MAX_GENUS + 1)], "_cmd_mirror"),
-                          (["mirror", "--genus", "2", "--sample", "65536"], "_cmd_mirror")):
-        modules = loaded_modules(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 2")
+    # run checks every cap of a command before it imports the handler module
+    for argv, message, *handler in [*OVER_CAP, *REFUSED_BY_THE_HANDLER]:
+        modules, err = run_child(f"from higgsmoduli import cli; assert cli.run({argv!r}) == 2")
         held = {m for m in modules if m.startswith("higgsmoduli.")}
-        assert held == {"higgsmoduli.cli", f"higgsmoduli.{handler}"}, argv
+        assert held == {"higgsmoduli.cli", *(f"higgsmoduli.{m}" for m in handler)}, argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_names_resolve_lazily():
