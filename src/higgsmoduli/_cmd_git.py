@@ -1,8 +1,8 @@
 """The git classify and git hm subcommands."""
-from .cli import NUMBER_MAX, _at_most, _latex_table
+from .cli import NUMBER_MAX, _at_most
 
 
-def classify(args) -> tuple[dict, str, str]:
+def classify(args) -> tuple[dict, list, list]:
     from . import stability
 
     try:
@@ -10,10 +10,8 @@ def classify(args) -> tuple[dict, str, str]:
     except ValueError:
         raise ValueError(f"--weights expects comma-separated integers, got {args.weights!r}")
     verdict = stability.torus_classify(stability.WeightProfile(weights))
-    payload = {"weights": list(weights), "verdict": verdict.value}
-    latex = _latex_table([("weights", ",".join(map(str, weights))),
-                          ("verdict", verdict.value)])
-    return payload, verdict.value, latex
+    latex = [("weights", ",".join(map(str, weights))), ("verdict", verdict.value)]
+    return {"weights": list(weights), "verdict": verdict.value}, [verdict.value], latex
 
 
 def _parse_blocks(text: str) -> list[tuple[int, ...]]:
@@ -32,7 +30,7 @@ def _parse_blocks(text: str) -> list[tuple[int, ...]]:
     return blocks
 
 
-def hm(args) -> tuple[dict, str, str]:
+def hm(args) -> tuple[dict, list, list]:
     blocks = _parse_blocks(args.blocks)
     from . import stability
 
@@ -45,6 +43,5 @@ def hm(args) -> tuple[dict, str, str]:
         "genus": filtration.g,
         "weight": weight,
     }
-    latex = _latex_table([("blocks", args.blocks), ("m", filtration.m),
-                          ("genus", filtration.g), ("weight", weight)])
-    return payload, f"weight = {weight}", latex
+    return payload, [f"weight = {weight}"], [("blocks", args.blocks), ("m", filtration.m),
+                                              ("genus", filtration.g), ("weight", weight)]

@@ -1,5 +1,4 @@
-"""The poincare subcommand: both pipelines of one space, or one of them."""
-from .cli import _latex, _latex_table
+"""The poincare and macdonald subcommands: each prints one Poincare polynomial."""
 
 
 def poincare(args):
@@ -18,7 +17,7 @@ def poincare(args):
     payload = {"space": args.space, "genus": g, "via": args.via}
     if args.via != "both":
         poly = pipelines[args.via](g)
-        plain = lambda: str(poly)
+        lines = [poly]
     else:
         (name_a, route_a), (name_b, route_b) = pipelines.items()
         poly, poly_b = route_a(g), route_b(g)
@@ -26,9 +25,16 @@ def poincare(args):
         if not payload["agree"]:
             payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
             payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
-            return (payload, lambda: f"{name_a}: {poly}\n{name_b}: {poly_b}\nPIPELINES DISAGREE",
-                    lambda: _latex_table([(name_a, _latex(poly)), (name_b, _latex(poly_b))]))
+            rows = [(name_a, poly), (name_b, poly_b)]
+            return payload, [*rows, "PIPELINES DISAGREE"], rows
         del poly_b  # only poly is printed
-        plain = lambda: f"{poly}\n{name_a} and {name_b} agree"
+        lines = [poly, f"{name_a} and {name_b} agree"]
     payload["coeffs"] = poly.to_coeff_list()
-    return payload, plain, lambda: _latex(poly)
+    return payload, lines, poly
+
+
+def macdonald(args):
+    from . import exactpoly
+
+    poly = exactpoly.coeff_extract_x(args.genus, args.n)
+    return {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}, [poly], poly

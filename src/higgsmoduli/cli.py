@@ -3,12 +3,12 @@ Command-line surface.
 
 Each subcommand is declared once, in COMMANDS: its words, help, handler and
 arguments, then --format.  run checks the caps that the arguments declare,
-then imports the handler from its own small module (_cmd_poincare,
-_cmd_mirror, _cmd_geometry for dims and spectral, _cmd_git for git classify
-and git hm, _cmd_macdonald), so a call compiles only the handler it runs.  A
-handler calls the computation module and returns its outputs, a JSON payload
-and the plain and LaTeX texts; run prints the one that --format names.  Exit
-codes are meant for scripted pipelines:
+then imports the handler from one of four small modules (_cmd_poincare for
+poincare and macdonald, _cmd_mirror, _cmd_geometry for dims and spectral,
+_cmd_git for both git commands), so a call compiles only the handler it runs.
+A handler returns values, not texts: the JSON payload, the plain lines and the
+LaTeX value, which _output prints in the format --format names.  Exit codes
+are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
     1   a mathematical verification failed (pipeline disagreement, mirror
@@ -61,31 +61,29 @@ def _at_most(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
 
 
-def _latex(poly) -> str:
-    """The plain display as inline LaTeX math, exponents braced: t^3 -> t^{3}."""
-    return "$" + poly.text("{}") + "$"
+def _latex(value):
+    """A polynomial as inline math, exponents braced (t^3 -> $t^{3}$); any other value as is."""
+    return "$" + value.text("{}") + "$" if hasattr(value, "text") else value
 
 
-def _latex_table(rows) -> str:
-    lines = ["\\begin{tabular}{ll}"]
-    for key, value in rows:
-        lines.append(f"{key} & {value} \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines)
-
-
-def _output(fmt: str, payload: dict, plain, latex) -> None:
+def _output(fmt: str, payload: dict, lines, latex) -> None:
     """
-    Print payload as JSON, or the plain or LaTeX text.  A text may be passed
-    as a function that builds it, so that a long one is built only if printed.
+    Print payload as JSON; or the lines, each a string, a polynomial or a
+    (label, value) pair printed "label: value"; or latex, a polynomial as inline
+    math or (label, value) rows as a tabular.  Only the printed text is built.
     """
     if fmt == "json":
         import json
 
         print(json.dumps(payload, sort_keys=True))
-        return
-    text = latex if fmt == "latex" else plain
-    print(text() if callable(text) else text)
+    elif fmt == "plain":
+        for line in lines:
+            print(*(line if isinstance(line, tuple) else [line]), sep=": ")
+    elif isinstance(latex, list):
+        rows = (f"{label} & {_latex(value)} \\\\" for label, value in latex)
+        print("\\begin{tabular}{ll}", *rows, "\\end{tabular}", sep="\n")
+    else:
+        print(_latex(latex))
 
 
 # Every subcommand, declared once: its words, then its help, its handler (a
@@ -126,7 +124,7 @@ COMMANDS = {
         ("--m", dict(type=int, required=True, abs_cap=NUMBER_MAX,
                      help=f"twist, |m| at most {NUMBER_MAX}")),
         ("--n", dict(type=int, default=None)), _GENUS]),
-    ("macdonald",): ("Poincare polynomial of a symmetric product", "_cmd_macdonald.macdonald", [
+    ("macdonald",): ("Poincare polynomial of a symmetric product", "_cmd_poincare.macdonald", [
         ("--genus", dict(type=int, required=True, cap=200, help="curve genus, at most 200")),
         ("--n", dict(type=int, required=True, cap=10000, help="symmetric power, at most 10000"))]),
 }
@@ -230,8 +228,8 @@ def run(argv) -> int:
             elif "cap" in options and value is not None:
                 _at_most(flag, value, options["cap"])
         module, _, name = handler.rpartition(".")
-        payload, plain, latex = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args)
-        _output(args.format, payload, plain, latex)
+        payload, lines, latex = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args)
+        _output(args.format, payload, lines, latex)
         return int(payload.get("agree") is False)  # 1 when --via both's routes disagree
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,4 +280,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    if __spec__:  # python -m: _cmd_git imports this copy, not a second one
+        sys.modules[__spec__.name] = sys.modules[__name__]
     main()

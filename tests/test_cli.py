@@ -63,36 +63,46 @@ def test_poly_display(coeffs, plain, latex):
     assert repr(poly) == f"IntPoly('{poly}')"
 
 
+# Calls that print Poincare polynomials, and whether both routes agree
+TEXT_CALLS = {
+    "poincare-both": (("poincare", "--space", "higgs", "--genus", "3"), True),
+    "poincare-one": (("poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"),
+                     True),
+    "macdonald": (("macdonald", "--genus", "3", "--n", "3"), True),
+    "poincare-disagree": (("poincare", "--space", "higgs", "--genus", "3"), False),
+}
+
 
 @pytest.mark.parametrize(
-    "argv, agree",
-    [
-        (("poincare", "--space", "higgs", "--genus", "3"), True),
-        (("poincare", "--space", "vector-bundles", "--genus", "3", "--via", "closed"), True),
-        (("macdonald", "--genus", "3", "--n", "3"), True),
-        (("poincare", "--space", "higgs", "--genus", "3"), False),
-    ],
-    ids=["poincare-both", "poincare-one", "macdonald", "poincare-disagree"],
+    "fmt, argv, agree",
+    [(fmt, *call) for fmt in ("json", "plain", "latex") for call in TEXT_CALLS.values()],
+    ids=[name if fmt == "json" else f"{fmt}-{name}"
+         for fmt in ("json", "plain", "latex") for name in TEXT_CALLS],
 )
-def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, argv, agree):
-    # the plain and LaTeX texts are built only for the format printed, which
-    # keeps them out of the peak memory of a JSON call at the genus cap
-    def refuse(poly):
-        raise AssertionError("a JSON call built a polynomial's text")
+def test_json_call_formats_no_polynomial_text(capsys, monkeypatch, fmt, argv, agree):
+    # each format builds only the text it prints: a JSON call none, which keeps
+    # them out of the peak memory of a JSON call at the genus cap; a plain
+    # call no braced exponents, and a LaTeX call no plain text
+    original = IntPoly.text
+
+    def text(poly, braces=""):
+        if fmt == "json" or bool(braces) != (fmt == "latex"):
+            raise AssertionError(f"a {fmt} call built a text it does not print")
+        return original(poly, braces)
 
     if not agree:
         import higgsmoduli.higgs as higgs
 
         monkeypatch.setattr(higgs, "poincare_M_stratified", lambda g: IntPoly([1]))
-    monkeypatch.setattr(IntPoly, "__str__", refuse)
-    monkeypatch.setattr(IntPoly, "text", refuse)
-    code, out, _ = invoke(capsys, *argv, "--format", "json")
-    if agree:
-        assert code == 0
-        assert json.loads(out)["coeffs"]
+    monkeypatch.setattr(IntPoly, "__str__", text)
+    monkeypatch.setattr(IntPoly, "text", text)
+    code, out, _ = invoke(capsys, *argv, "--format", fmt)
+    assert code == (0 if agree else 1)
+    if fmt == "json":
+        assert json.loads(out)["coeffs"] if agree else json.loads(out)["agree"] is False
     else:
-        assert code == 1
-        assert json.loads(out)["agree"] is False
+        assert "t^" in out
+        assert ("t^{" in out) == (fmt == "latex")
 
 
 class TestPoincare:
@@ -706,6 +716,17 @@ EXIT_PATHS = {
 }
 
 
+def split_importtime(stderr):
+    """The modules that -X importtime lists in stderr, and the rest of stderr."""
+    imports, rest = [], b""
+    for line in stderr.splitlines(keepends=True):
+        if line.startswith(b"import time:"):
+            imports.append(line.rpartition(b"|")[2].strip())
+        else:
+            rest += line
+    return imports, rest
+
+
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
@@ -839,18 +860,25 @@ class TestPlumbing:
         assert int(report.read_text()) > 0
 
     def test_module_form_prints_what_main_prints(self):
-        # python -m higgsmoduli.cli runs main, as the installed entry point does
+        # python -m higgsmoduli.cli runs main, as the installed entry point does,
+        # and holds one cli: _cmd_git, which imports it, gets the running module
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         over = str(cap(("mirror",), "--genus") + 1)
         for argv, code in ((["mirror", "--genus", "2", "--format", "json"], 0),
-                           (["mirror", "--genus", over], 2)):
-            module, entry = (subprocess.run([sys.executable, *head, *argv], capture_output=True,
-                                            env=env, timeout=60)
+                           (["mirror", "--genus", over], 2),
+                           (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5",
+                             "--genus", "2"], 0)):
+            module, entry = (subprocess.run([sys.executable, "-X", "importtime", *head, *argv],
+                                            capture_output=True, env=env, timeout=60)
                              for head in (["-m", "higgsmoduli.cli"],
                                           ["-c", "from higgsmoduli.cli import main; main()"]))
+            (module_imports, module_err), (entry_imports, entry_err) = map(
+                split_importtime, (module.stderr, entry.stderr))
             assert (module.returncode, entry.returncode) == (code, code)
-            assert (module.stdout, module.stderr) == (entry.stdout, entry.stderr)
-            assert entry.stdout if code == 0 else entry.stderr.startswith(b"error: ")
+            assert (module.stdout, module_err) == (entry.stdout, entry_err)
+            assert entry.stdout if code == 0 else entry_err.startswith(b"error: ")
+            assert b"higgsmoduli.cli" in entry_imports
+            assert b"higgsmoduli.cli" not in module_imports
 
     def test_run_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
