@@ -38,15 +38,14 @@ print(f"pairing of anything with itself: {weil_pairing(a, a)}")
 # exhaustive checks: a certificate over GF(2) (the Gram matrix of the pairing
 # on the basis is nonsingular, symmetric, zero on the diagonal) covers every
 # nonzero gamma, assuming the pairing is linear in its first argument too
+# (mirror_verify raises at the first failed check, so a returned report passed)
 for g in (2, 3, 4):
     report = mirror_verify(g)
-    print(f"\ngenus {g}: {report.elements_checked} elements checked, "
-          f"{'pass' if report.passed else 'FAIL'}")
+    print(f"\ngenus {g}: {report.elements_checked} elements checked, pass")
 
 # a sampled sweep at larger genus, seeded for reproducibility
 report = mirror_verify(7, sample=12, seed=1)
-print(f"genus 7: {report.elements_checked} sampled elements, "
-      f"{'pass' if report.passed else 'FAIL'}")
+print(f"genus 7: {report.elements_checked} sampled elements, pass")
 
 # what failure looks like: push the right side one (uv) notch sideways
 import higgsmoduli.mirror as mirror_module

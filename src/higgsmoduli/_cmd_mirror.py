@@ -4,16 +4,16 @@
 def mirror(args) -> tuple[dict, list, list]:
     from .mirror import mirror_verify
 
+    # mirror_verify raises at the first failed check, so a report is a pass
     report = mirror_verify(args.genus, sample=args.sample, seed=args.seed)
     payload = {
         "genus": report.genus,
         "elements_checked": report.elements_checked,
-        "pass": report.passed,
+        "pass": True,
         "lhs": report.lhs.to_sorted_dict(),
         "rhs_sample": report.rhs_sample.to_sorted_dict(),
     }
-    plain = (f"genus {report.genus}: {report.elements_checked} elements checked, "
-             f"{'pass' if report.passed else 'FAIL'}")
+    plain = f"genus {report.genus}: {report.elements_checked} elements checked, pass"
     latex = [("genus", report.genus), ("elements checked", report.elements_checked),
-             ("pass", str(report.passed).lower())]
+             ("pass", "true")]
     return payload, [plain], latex

@@ -228,7 +228,7 @@ def run(argv) -> int:
             elif "cap" in options and value is not None:
                 _at_most(flag, value, options["cap"])
         module, _, name = handler.rpartition(".")
-        payload, lines, latex = getattr(importlib.import_module(f"{__package__}.{module}"), name)(args)
+        payload, lines, latex = getattr(importlib.import_module(f"higgsmoduli.{module}"), name)(args)
         _output(args.format, payload, lines, latex)
         return int(payload.get("agree") is False)  # 1 when --via both's routes disagree
     except ValueError as exc:

@@ -2,7 +2,7 @@
 The rank-2 topological mirror symmetry identity, checked exactly.
 
 For a genus-g curve, write Gamma = Jac(X)[2], a group of order 2^(2g)
-modeled here as bit vectors of length 2g, each held as two g-bit integers.
+modeled here as bit vectors of length 2g, each held as one 2g-bit integer.
 The Weil pairing on Gamma, induced by Poincare duality, is the standard
 symplectic form over GF(2): bit i pairs with bit g+i.  Any nondegenerate
 alternating form is equivalent to this one, and nothing below uses more
@@ -120,13 +120,10 @@ class BivarPoly(Record):
     coefficient.
 
     The coefficient map never stores zeros, so equality of maps is equality
-    of polynomials.  Unlike the other records it is mutable, so unhashable.
+    of polynomials.  The map is a dict, so the record is unhashable.
     """
 
     __slots__ = _fields = ("coeffs",)
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, coeffs=None):
         clean: dict[tuple[int, int], int] = {}
@@ -138,7 +135,7 @@ class BivarPoly(Record):
                 raise ValueError("exponents must be nonnegative")
             if c != 0:
                 clean[key] = c
-        self.coeffs = clean
+        super().__init__(clean)
 
     def coefficient(self, p: int, q: int) -> int:
         return self.coeffs.get((p, q), 0)
@@ -166,11 +163,10 @@ class BivarPoly(Record):
 class Gamma2Element(Record):
     """
     An element of Gamma = Jac(X)[2] as a bit vector of length 2g.  The group
-    law is componentwise addition mod 2.  It is stored as its genus and two
-    packed halves, bit i of `bits` in bit i of the low half and bit g + i in
-    bit i of the high half, so building, adding and pairing elements take a
-    few word operations; `bits` is read from the halves, and equality,
-    hashing and repr go by `bits` alone.
+    law is componentwise addition mod 2.  It is stored as its genus and one
+    packed integer, bit i of `bits` in bit i of the integer, so building,
+    adding and pairing elements take a few word operations; `bits` is read
+    from the integer, and equality, hashing and repr go by `bits` alone.
 
     >>> e = Gamma2Element.from_int(0b1101, 2)
     >>> e.bits
@@ -179,7 +175,7 @@ class Gamma2Element(Record):
     True
     """
 
-    __slots__ = ("g", "_lo", "_hi")
+    __slots__ = ("g", "_packed")
     _fields = ("bits",)
 
     def __init__(self, bits):
@@ -188,38 +184,34 @@ class Gamma2Element(Record):
             raise ValueError("bit vector must have positive even length 2g")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("entries must be 0 or 1")
-        g = len(bits) // 2
-        value = sum(b << i for i, b in enumerate(bits))
-        self._fill(g, value & ((1 << g) - 1), value >> g)
+        self._fill(len(bits) // 2, sum(b << i for i, b in enumerate(bits)))
 
-    def _fill(self, g: int, lo: int, hi: int) -> "Gamma2Element":
-        """Set the genus and the packed halves, unchecked; every element is built here."""
+    def _fill(self, g: int, packed: int) -> "Gamma2Element":
+        """Set the genus and the packed integer, unchecked; every element is built here."""
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_packed", packed)
         return self
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((half >> i) & 1 for half in (self._lo, self._hi) for i in range(self.g))
+        return tuple((self._packed >> i) & 1 for i in range(2 * self.g))
 
     def is_zero(self) -> bool:
-        return self._lo == 0 and self._hi == 0
+        return self._packed == 0
 
     @classmethod
     def from_int(cls, value: int, g: int) -> "Gamma2Element":
-        g = operator.index(g)
+        g, value = operator.index(g), operator.index(value)
         if g < 1:
             raise ValueError("bit vector must have positive even length 2g")
         if not 0 <= value < 1 << (2 * g):
             raise ValueError("value out of range")
-        return object.__new__(cls)._fill(g, value & ((1 << g) - 1), value >> g)
+        return object.__new__(cls)._fill(g, value)
 
     def __add__(self, other: "Gamma2Element") -> "Gamma2Element":
         if self.g != other.g:
             raise LengthMismatch("elements live in different groups")
-        total = object.__new__(Gamma2Element)
-        return total._fill(self.g, self._lo ^ other._lo, self._hi ^ other._hi)
+        return object.__new__(Gamma2Element)._fill(self.g, self._packed ^ other._packed)
 
 
 def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
@@ -229,7 +221,8 @@ def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
     """
     if a.g != b.g:
         raise LengthMismatch("elements live in different groups")
-    parity = ((a._lo & b._hi) ^ (a._hi & b._lo)).bit_count() & 1
+    x, y = a._packed, b._packed
+    parity = ((x & (y >> a.g)) ^ ((x >> a.g) & y)).bit_count() & 1
     return -1 if parity else 1
 
 
@@ -375,11 +368,10 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
 
 
 class MirrorReport(Record):
-    __slots__ = _fields = ("genus", "elements_checked", "passed", "lhs", "rhs_sample")
+    __slots__ = _fields = ("genus", "elements_checked", "lhs", "rhs_sample")
 
-    def __init__(self, genus: int, elements_checked: int, passed: bool,
-                 lhs: BivarPoly, rhs_sample: BivarPoly):
-        super().__init__(genus, elements_checked, passed, lhs, rhs_sample)
+    def __init__(self, genus: int, elements_checked: int, lhs: BivarPoly, rhs_sample: BivarPoly):
+        super().__init__(genus, elements_checked, lhs, rhs_sample)
 
 
 def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorReport:
@@ -426,4 +418,4 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
             for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
                 if lhs.coefficient(*key) != rhs.coefficient(*key):
                     raise IdentityViolation(g, gamma.bits, key, lhs.coefficient(*key), rhs.coefficient(*key))
-    return MirrorReport(genus=g, elements_checked=sample, passed=True, lhs=lhs, rhs_sample=rhs)
+    return MirrorReport(genus=g, elements_checked=sample, lhs=lhs, rhs_sample=rhs)

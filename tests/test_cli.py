@@ -880,6 +880,27 @@ class TestPlumbing:
             assert b"higgsmoduli.cli" in entry_imports
             assert b"higgsmoduli.cli" not in module_imports
 
+    def test_every_invocation_form_prints_the_same_bytes(self):
+        # the entry point's code, python -m and the file run as a script: each
+        # prints the same bytes and exits with the same code
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        over = str(cap(("mirror",), "--genus") + 1)
+        forms = (["-c", "from higgsmoduli.cli import main; main()"], ["-m", "higgsmoduli.cli"],
+                 [str(ROOT / "src" / "higgsmoduli" / "cli.py")])
+        for argv, code in ((["dims", "--rank", "2", "--genus", "3"], 0),
+                           (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5",
+                             "--genus", "2", "--format", "json"], 0),
+                           (["mirror", "--genus", over], 2),
+                           (["poincare", "--space", "higgs", "--genus", "3", "--format", "latex"],
+                            0)):
+            entry, *others = (subprocess.run([sys.executable, *form, *argv], capture_output=True,
+                                             env=env, timeout=60) for form in forms)
+            assert entry.returncode == code
+            assert entry.stdout if code == 0 else entry.stderr.startswith(b"error: ")
+            for done in others:
+                assert (done.returncode, done.stdout, done.stderr) == (
+                    code, entry.stdout, entry.stderr), argv
+
     def test_run_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
         code, _, _ = invoke(capsys, "poincare", "--space", "higgs", "--genus", "3")

@@ -70,6 +70,8 @@ class TestGamma2Element:
                 Gamma2Element.from_int(0, g)
         with pytest.raises(TypeError):
             Gamma2Element.from_int(0, 2.0)
+        with pytest.raises(TypeError):
+            Gamma2Element.from_int(3.0, 1)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_from_int_is_the_element_of_its_bits(self, g):
@@ -99,6 +101,25 @@ class TestGamma2Element:
             Gamma2Element(())
         with pytest.raises(LengthMismatch):
             Gamma2Element((1, 0)) + Gamma2Element((1, 0, 0, 0))
+
+
+@st.composite
+def packed_pairs(draw):
+    g = draw(st.integers(1, MAX_GENUS))
+    return g, draw(st.integers(0, 4**g - 1)), draw(st.integers(0, 4**g - 1))
+
+
+@given(packed_pairs())
+def test_packed_element_against_its_definition(case):
+    # up to the command line's cap, where 2g bits span several machine words
+    # and a shift off by g would show
+    g, a, b = case
+    x, y = Gamma2Element.from_int(a, g), Gamma2Element.from_int(b, g)
+    assert x.bits == tuple((a >> i) & 1 for i in range(2 * g))
+    assert x == Gamma2Element(x.bits)
+    assert x + y == Gamma2Element.from_int(a ^ b, g)
+    exponent = sum(x.bits[i] * y.bits[g + i] + x.bits[g + i] * y.bits[i] for i in range(g))
+    assert weil_pairing(x, y) == (-1) ** exponent
 
 
 class TestWeilPairing:
@@ -375,7 +396,6 @@ class TestMirrorVerify:
         assert isinstance(report, MirrorReport)
         assert report.genus == 2
         assert report.elements_checked == 15
-        assert report.passed
         assert report.lhs == LHS_G2
         assert report.rhs_sample == LHS_G2
 
@@ -385,7 +405,6 @@ class TestMirrorVerify:
     def test_genus_seven_exhaustive(self):
         report = mirror_verify(7)
         assert report.elements_checked == 16383
-        assert report.passed
 
     def test_sampled_sweep_memory_is_bounded(self):
         # a sampled sweep allocates nothing of size 4^g
@@ -403,12 +422,11 @@ class TestMirrorVerify:
     def test_sampled_sweep(self):
         report = mirror_verify(7, sample=5, seed=11)
         assert report.elements_checked == 5
-        assert report.passed
 
     def test_every_genus_from_two_accepted(self):
         for g in (11, 32):
             report = mirror_verify(g, sample=3)
-            assert report.passed and report.elements_checked == 3
+            assert report.elements_checked == 3
         with pytest.raises(ValueError, match="at least 2"):
             mirror_verify(1, sample=1)
 
@@ -426,7 +444,7 @@ class TestMirrorVerify:
         # from g = 32 on, 4^g - 1 does not fit a C ssize_t, so no range of the
         # population can be sampled; the draw holds only the values it draws
         report = mirror_verify(g, sample=100, seed=7)
-        assert report.passed and report.elements_checked == 100
+        assert report.elements_checked == 100
         assert len(set(drawn)) == 100 and not any(gamma.is_zero() for gamma in drawn)
         assert drawn[0].g == g
 
@@ -593,7 +611,7 @@ class TestCertificate:
         # only, which decides it everywhere for a pairing linear in its first
         # argument.  This one is not, and only the sweep reads gamma* itself.
         monkeypatch.setattr(mirror_mod, "weil_pairing", alternating_but_at_e012)
-        assert mirror_verify(3).passed
+        mirror_verify(3)  # the certificate raises nothing
         assert sweep_outcome(3) == (PairingNotAlternating, (1, 1, 1, 0, 0, 0))
 
     def test_a_kernel_vector_with_a_nonzero_row_is_not_bilinear(self, monkeypatch, capsys):
@@ -612,7 +630,7 @@ class TestCertificate:
 
         monkeypatch.setattr(Gamma2Element, "__init__", refuse)
         report = mirror_verify(10)
-        assert report.passed and report.elements_checked == 4**10 - 1
+        assert report.elements_checked == 4**10 - 1
 
     def test_pairing_calls_grow_as_g_squared(self, monkeypatch):
         calls = 0
@@ -624,7 +642,7 @@ class TestCertificate:
 
         monkeypatch.setattr(mirror_mod, "weil_pairing", counted)
         report = mirror_verify(10)
-        assert report.passed and report.elements_checked == 4**10 - 1
+        assert report.elements_checked == 4**10 - 1
         assert calls < 1000
 
 
@@ -650,7 +668,7 @@ class TestAtTheCap:
 
         monkeypatch.setattr(mirror_mod, "weil_pairing", counted)
         report = mirror_verify(g)
-        assert report.passed and report.elements_checked == 4**g - 1
+        assert report.elements_checked == 4**g - 1
         # self-pairings on weights 1 and 2, the Gram rows, the kernel vector's row, the one gamma
         assert calls <= n * (n + 1) // 2 + n * n + 2 * n + 1
 
