@@ -11,7 +11,6 @@ the two sides agree for no shallow reason.
 """
 
 from higgsmoduli import (
-    Gamma2Element,
     IdentityViolation,
     e_poly_kappa_lhs,
     e_poly_rhs,
@@ -23,17 +22,17 @@ from higgsmoduli import (
 # the two sides at genus 2, written out
 g = 2
 lhs = e_poly_kappa_lhs(g)
-print(f"genus {g} left side:  {lhs.to_sorted_dict()}")
-gamma = Gamma2Element.from_int(1, g)
-print(f"genus {g} right side: {e_poly_rhs(g, gamma).to_sorted_dict()}")
+# each side maps (p, q) to its nonzero coefficient of u^p v^q; a group
+# element gamma is a 2g-bit integer, here e_0
+print(f"genus {g} left side:  {lhs}")
+print(f"genus {g} right side: {e_poly_rhs(g, 0b0001)}")
 print(f"fermionic shift F = {fermionic_shift(g)}, "
       f"total (uv) weight (g-1)+F = {3 * g - 3}")
 
 # the Weil pairing that drives the average: alternating, nondegenerate
-a = Gamma2Element((1, 0, 0, 0))
-b = Gamma2Element((0, 0, 1, 0))
-print(f"\npairing of dual basis vectors: {weil_pairing(a, b)}")
-print(f"pairing of anything with itself: {weil_pairing(a, a)}")
+a, b = 0b0001, 0b0100  # e_0 and its dual e_g
+print(f"\npairing of dual basis vectors: {weil_pairing(g, a, b)}")
+print(f"pairing of anything with itself: {weil_pairing(g, a, a)}")
 
 # exhaustive checks: a certificate over GF(2) (the Gram matrix of the pairing
 # on the basis is nonsingular, symmetric, zero on the diagonal) covers every

@@ -23,9 +23,9 @@ _EXPORTS = {
     "strata": ("bb_codimension", "hn_codim_rank2", "variant_hodge_numbers"),
     "higgs": ("DegreeOverflow", "fixed_locus_poincare", "poincare_M_closed", "poincare_M_stratified"),
     "mirror": (
-        "BivarPoly", "Gamma2Element", "IdentityViolation", "LengthMismatch", "MirrorReport",
-        "PairingNotAlternating", "PairingNotBilinear", "TrivialElement", "e_poly_kappa_lhs",
-        "e_poly_rhs", "fermionic_shift", "mirror_verify", "weil_pairing",
+        "IdentityViolation", "MirrorReport", "PairingNotAlternating", "PairingNotBilinear",
+        "TrivialElement", "e_poly_kappa_lhs", "e_poly_rhs", "fermionic_shift", "mirror_verify",
+        "weil_pairing",
     ),
     "geometry": (
         "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",

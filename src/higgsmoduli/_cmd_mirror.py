@@ -10,8 +10,8 @@ def mirror(args) -> tuple[dict, list, list]:
         "genus": report.genus,
         "elements_checked": report.elements_checked,
         "pass": True,
-        "lhs": report.lhs.to_sorted_dict(),
-        "rhs_sample": report.rhs_sample.to_sorted_dict(),
+        "lhs": {f"{p},{q}": c for (p, q), c in sorted(report.lhs.items())},
+        "rhs_sample": {f"{p},{q}": c for (p, q), c in sorted(report.rhs_sample.items())},
     }
     plain = f"genus {report.genus}: {report.elements_checked} elements checked, pass"
     latex = [("genus", report.genus), ("elements checked", report.elements_checked),

@@ -279,7 +279,6 @@ def main() -> None:
     sys.exit(code)
 
 
-if __name__ == "__main__":
-    if __spec__:  # python -m: _cmd_git imports this copy, not a second one
-        sys.modules[__spec__.name] = sys.modules[__name__]
+if __name__ == "__main__":  # python -m or the script: _cmd_git imports this copy, not a second
+    sys.modules["higgsmoduli.cli"] = sys.modules[__name__]
     main()

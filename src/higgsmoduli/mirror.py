@@ -2,11 +2,11 @@
 The rank-2 topological mirror symmetry identity, checked exactly.
 
 For a genus-g curve, write Gamma = Jac(X)[2], a group of order 2^(2g)
-modeled here as bit vectors of length 2g, each held as one 2g-bit integer.
-The Weil pairing on Gamma, induced by Poincare duality, is the standard
-symplectic form over GF(2): bit i pairs with bit g+i.  Any nondegenerate
-alternating form is equivalent to this one, and nothing below uses more
-than that.
+modeled here as bit vectors of length 2g, each held as one 2g-bit integer
+whose bit i is coordinate i, so the group law is xor.  The Weil pairing on
+Gamma, induced by Poincare duality, is the standard symplectic form over
+GF(2): bit i pairs with bit g+i.  Any nondegenerate alternating form is
+equivalent to this one, and nothing below uses more than that.
 
 The identity of Hausel and Thaddeus, in the rank-2 unraveling, equates
 
@@ -28,10 +28,10 @@ monomial u^p v^q by (-1)^(p+q); concretely the sign arrives on the left as
 substitution (u, v) -> (-u, -v) on the bare Hodge sum.  The right side is
 written in one pass, each of its g^2 coefficients once, from a binomial row
 of its own (math.comb); it shares no code with the left side, which reads
-the binomial row of the strata module.  Both sides are BivarPoly records, a
-sparse map from (p, q) to the coefficient of u^p v^q that each side writes
-directly, so the check loads neither the polynomial kernel nor the Betti
-pipelines.
+the binomial row of the strata module.  Both sides are plain dicts from
+(p, q) to the coefficient of u^p v^q, which each side writes directly and
+without zeros, so dict equality is equality of polynomials and the check
+loads neither the polynomial kernel nor the Betti pipelines.
 
 The right-hand average depends on gamma only through the count
 N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}, and that count is always read
@@ -51,22 +51,16 @@ the 2g x 2g Gram matrix w(e_i, e_j) is nonsingular, and w(gamma, gamma) = 1
 for every gamma exactly when it does so on the elements of weight 1 and 2
 (the matrix is symmetric with zero diagonal).  Reading those takes O(g^2)
 pairings, and elimination on rows packed into ints O(g^2) word operations,
-where the sweep reads (4^g - 1)(2g + 1) pairings; the certificate builds
-each element it reads from an int in O(1) word operations.  A singular
-matrix yields a kernel vector, whose zero row fails the identity; a kernel
-vector whose row is nonzero all the same raises PairingNotBilinear.  Every
-genus g >= 2 is accepted; the command line caps the genus it passes.
+where the sweep reads (4^g - 1)(2g + 1) pairings.  A singular matrix
+yields a kernel vector, whose zero row fails the identity; a kernel vector
+whose row is nonzero all the same raises PairingNotBilinear.  Every genus
+g >= 2 is accepted; the command line caps the genus it passes.
 """
-import operator
 from collections import defaultdict
 from math import comb
 
 from . import strata
 from ._record import Record
-
-
-class LengthMismatch(ValueError):
-    """Bit vectors of different lengths cannot be paired."""
 
 
 class TrivialElement(ValueError):
@@ -112,117 +106,28 @@ class PairingNotBilinear(_CheckFailure):
                          "the pairing is not linear in its first argument")
 
 
-class BivarPoly(Record):
+def _bits(g: int, gamma: int) -> tuple[int, ...]:
+    """gamma's 2g bits, bit 0 first: the gamma_bits a failed check reports."""
+    return tuple((gamma >> i) & 1 for i in range(2 * g))
+
+
+def weil_pairing(g: int, a: int, b: int) -> int:
     """
-    A sparse polynomial in u and v with integer coefficients, held as a
-    value: a validated map from exponent pairs (p, q) to the coefficient of
-    u^p v^q.  It does no arithmetic; whoever builds one writes each
-    coefficient.
+    The symplectic pairing w(a, b) = (-1)^(sum_i a_i b_(g+i) + a_(g+i) b_i)
+    of two elements of the genus-g group, each a 2g-bit integer whose bit i
+    is its i-th coordinate, valued in {+1, -1}.  Bilinear, alternating,
+    nondegenerate.  Raises ValueError unless 0 <= a, b < 4^g.
 
-    The coefficient map never stores zeros, so equality of maps is equality
-    of polynomials.  The map is a dict, so the record is unhashable.
+    >>> weil_pairing(1, 0b01, 0b10)
+    -1
+    >>> weil_pairing(2, 0b1101, 0b1101)
+    1
+    >>> weil_pairing(2, 0b0001, 0b1100)
+    -1
     """
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean: dict[tuple[int, int], int] = {}
-        for (p, q), c in (coeffs or {}).items():
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients only, got {c!r}")
-            key = operator.index(p), operator.index(q)
-            if min(key) < 0:
-                raise ValueError("exponents must be nonnegative")
-            if c != 0:
-                clean[key] = c
-        super().__init__(clean)
-
-    def coefficient(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
-
-    def monomials(self):
-        """Items in a stable (sorted) order."""
-        return sorted(self.coeffs.items())
-
-    def to_sorted_dict(self) -> dict[str, int]:
-        """Keys "p,q" in sorted exponent order (JSON-friendly)."""
-        return {f"{p},{q}": c for (p, q), c in self.monomials()}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "BivarPoly('0')"
-        parts = []
-        for (p, q), c in self.monomials():
-            term = "".join(
-                [f"u^{p}" if p > 1 else "u" if p == 1 else "", f"v^{q}" if q > 1 else "v" if q == 1 else ""]
-            ) or "1"
-            parts.append(f"{c:+d} {term}")
-        return f"BivarPoly('{' '.join(parts)}')"
-
-
-class Gamma2Element(Record):
-    """
-    An element of Gamma = Jac(X)[2] as a bit vector of length 2g.  The group
-    law is componentwise addition mod 2.  It is stored as its genus and one
-    packed integer, bit i of `bits` in bit i of the integer, so building,
-    adding and pairing elements take a few word operations; `bits` is read
-    from the integer, and equality, hashing and repr go by `bits` alone.
-
-    >>> e = Gamma2Element.from_int(0b1101, 2)
-    >>> e.bits
-    (1, 0, 1, 1)
-    >>> e == Gamma2Element((1, 0, 1, 1))
-    True
-    """
-
-    __slots__ = ("g", "_packed")
-    _fields = ("bits",)
-
-    def __init__(self, bits):
-        bits = tuple(map(operator.index, bits))
-        if len(bits) == 0 or len(bits) % 2 != 0:
-            raise ValueError("bit vector must have positive even length 2g")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("entries must be 0 or 1")
-        self._fill(len(bits) // 2, sum(b << i for i, b in enumerate(bits)))
-
-    def _fill(self, g: int, packed: int) -> "Gamma2Element":
-        """Set the genus and the packed integer, unchecked; every element is built here."""
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_packed", packed)
-        return self
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self._packed >> i) & 1 for i in range(2 * self.g))
-
-    def is_zero(self) -> bool:
-        return self._packed == 0
-
-    @classmethod
-    def from_int(cls, value: int, g: int) -> "Gamma2Element":
-        g, value = operator.index(g), operator.index(value)
-        if g < 1:
-            raise ValueError("bit vector must have positive even length 2g")
-        if not 0 <= value < 1 << (2 * g):
-            raise ValueError("value out of range")
-        return object.__new__(cls)._fill(g, value)
-
-    def __add__(self, other: "Gamma2Element") -> "Gamma2Element":
-        if self.g != other.g:
-            raise LengthMismatch("elements live in different groups")
-        return object.__new__(Gamma2Element)._fill(self.g, self._packed ^ other._packed)
-
-
-def weil_pairing(a: Gamma2Element, b: Gamma2Element) -> int:
-    """
-    The symplectic pairing w(a, b) = (-1)^(sum_i a_i b_(g+i) + a_(g+i) b_i),
-    valued in {+1, -1}.  Bilinear, alternating, nondegenerate.
-    """
-    if a.g != b.g:
-        raise LengthMismatch("elements live in different groups")
-    x, y = a._packed, b._packed
-    parity = ((x & (y >> a.g)) ^ ((x >> a.g) & y)).bit_count() & 1
+    if not (0 <= a < 1 << 2 * g and 0 <= b < 1 << 2 * g):
+        raise ValueError(f"elements of the genus-{g} group are integers from 0 to 4^{g} - 1")
+    parity = ((a & (b >> g)) ^ ((a >> g) & b)).bit_count() & 1
     return -1 if parity else 1
 
 
@@ -236,7 +141,7 @@ def fermionic_shift(g: int) -> int:
     return 2 * g - 2
 
 
-def e_poly_kappa_lhs(g: int) -> BivarPoly:
+def e_poly_kappa_lhs(g: int) -> dict[tuple[int, int], int]:
     """
     The variant E-polynomial for any nontrivial character kappa (the result
     is the same for all of them): the dual (uv)^(6g-6) E(1/u, 1/v) of the
@@ -247,6 +152,9 @@ def e_poly_kappa_lhs(g: int) -> BivarPoly:
 
     Both functions are read through the strata module at call time, so the
     mirror check sees exactly the geometry the Betti pipeline uses.
+
+    >>> e_poly_kappa_lhs(2)
+    {(4, 3): -1, (3, 4): -1}
     """
     strata._check_genus(g)
     # Two strata put classes on one monomial only if their codimensions are
@@ -258,7 +166,7 @@ def e_poly_kappa_lhs(g: int) -> BivarPoly:
         for p, h in enumerate(hodge):
             q = len(hodge) - 1 - p
             coeffs[(top - p, top - q)] += (-1) ** (p + q) * h
-    return BivarPoly(coeffs)
+    return {key: c for key, c in coeffs.items() if c}
 
 
 def _minus_counts(g: int, gammas):
@@ -270,16 +178,16 @@ def _minus_counts(g: int, gammas):
     second argument.  Each gamma must pair to 1 with itself, or
     PairingNotAlternating is raised.
     """
-    basis = [Gamma2Element.from_int(1 << j, g) for j in range(2 * g)]
+    basis = [1 << j for j in range(2 * g)]
     half = 1 << (2 * g - 1)
     for gamma in gammas:
-        self_pairing = weil_pairing(gamma, gamma)
+        self_pairing = weil_pairing(g, gamma, gamma)
         if self_pairing != 1:
-            raise PairingNotAlternating(g, gamma.bits, self_pairing)
-        yield gamma, half if any(weil_pairing(gamma, e) < 0 for e in basis) else 0
+            raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+        yield gamma, half if any(weil_pairing(g, gamma, e) < 0 for e in basis) else 0
 
 
-def _certificate(g: int) -> Gamma2Element:
+def _certificate(g: int) -> int:
     """
     The one gamma whose check stands for all 4^g - 1, given a pairing linear
     in its first argument: e_0 when the Gram matrix over GF(2) is
@@ -289,13 +197,12 @@ def _certificate(g: int) -> Gamma2Element:
     PairingNotBilinear at a kernel vector whose row is not zero.
     """
     n = 2 * g
-    for value in sorted((1 << i) | (1 << j) for i in range(n) for j in range(i + 1)):
-        gamma = Gamma2Element.from_int(value, g)
-        self_pairing = weil_pairing(gamma, gamma)
+    for gamma in sorted((1 << i) | (1 << j) for i in range(n) for j in range(i + 1)):
+        self_pairing = weil_pairing(g, gamma, gamma)
         if self_pairing != 1:
-            raise PairingNotAlternating(g, gamma.bits, self_pairing)
-    basis = [Gamma2Element.from_int(1 << j, g) for j in range(n)]
-    rows = [sum(1 << j for j, e in enumerate(basis) if weil_pairing(a, e) < 0) for a in basis]
+            raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+    basis = [1 << j for j in range(n)]
+    rows = [sum(e for e in basis if weil_pairing(g, a, e) < 0) for a in basis]
     # Eliminate row by row, keeping which basis vectors each reduced row combines.
     # The first row i to vanish gives a kernel vector with top bit i, and the
     # only one: rows 0 .. i-1 are independent, so no kernel vector is smaller.
@@ -309,14 +216,13 @@ def _certificate(g: int) -> Gamma2Element:
         if row:
             pivots[row.bit_length()] = row, combo
             continue
-        gamma = Gamma2Element.from_int(combo, g)
-        if any(weil_pairing(gamma, e) < 0 for e in basis):
-            raise PairingNotBilinear(g, gamma.bits)
-        return gamma
-    return basis[0]
+        if any(weil_pairing(g, combo, e) < 0 for e in basis):
+            raise PairingNotBilinear(g, _bits(g, combo))
+        return combo
+    return 1
 
 
-def _rhs_from_count(g: int, minus: int) -> BivarPoly:
+def _rhs_from_count(g: int, minus: int) -> dict[tuple[int, int], int]:
     """
     The right side for a gamma with N_-(gamma) = minus, written one
     coefficient at a time from one binomial row.
@@ -330,7 +236,7 @@ def _rhs_from_count(g: int, minus: int) -> BivarPoly:
 
     an exact division that raises NonDivisible on a remainder.  The sign
     convention multiplies it by (-1)^(p+q), and the shift moves it to
-    u^(p+s) v^(q+s) with s = (g-1) + F.
+    u^(p+s) v^(q+s) with s = (g-1) + F.  A zero coefficient is left out.
     """
     total = 1 << (2 * g)
     shift = (g - 1) + fermionic_shift(g)
@@ -344,11 +250,12 @@ def _rhs_from_count(g: int, minus: int) -> BivarPoly:
                 from .exactpoly import NonDivisible
 
                 raise NonDivisible(f"coefficient of u^{p} v^{q} is not divisible by {total}")
-            coeffs[(p + shift, q + shift)] = sign * quot
-    return BivarPoly(coeffs)
+            if quot:
+                coeffs[(p + shift, q + shift)] = sign * quot
+    return coeffs
 
 
-def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
+def e_poly_rhs(g: int, gamma: int) -> dict[tuple[int, int], int]:
     """
     The gamma-sector of the stringy E-polynomial: the averaged Prym
     E-polynomial, in the E-polynomial sign convention, times
@@ -356,12 +263,11 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
 
     The average takes N_-(gamma) from gamma's row of the pairing on the
     basis vectors, which assumes the pairing is bilinear in its second
-    argument.  Raises ValueError for g below 2.
+    argument.  Raises TrivialElement for gamma = 0, and ValueError for g
+    below 2 or for gamma not in 0 .. 4^g - 1.
     """
     strata._check_genus(g)
-    if gamma.g != g:
-        raise LengthMismatch(f"gamma has length {2 * gamma.g}, expected {2 * g}")
-    if gamma.is_zero():
+    if gamma == 0:
         raise TrivialElement("the averaging sector is indexed by nonzero gamma")
     [(_, minus)] = _minus_counts(g, [gamma])
     return _rhs_from_count(g, minus)
@@ -370,7 +276,7 @@ def e_poly_rhs(g: int, gamma: Gamma2Element) -> BivarPoly:
 class MirrorReport(Record):
     __slots__ = _fields = ("genus", "elements_checked", "lhs", "rhs_sample")
 
-    def __init__(self, genus: int, elements_checked: int, lhs: BivarPoly, rhs_sample: BivarPoly):
+    def __init__(self, genus: int, elements_checked: int, lhs: dict, rhs_sample: dict):
         super().__init__(genus, elements_checked, lhs, rhs_sample)
 
 
@@ -384,9 +290,8 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     compared once per distinct N_-(gamma).  The exhaustive check
     certifies over GF(2) that every count is the same, assuming the pairing
     is linear in its first argument, and then checks the one gamma the
-    certificate returns.  It reads O(g^2) pairings and builds each element
-    from an int, never through the validating constructor, so the CLI runs
-    it by default at every genus it accepts.
+    certificate returns.  It reads O(g^2) pairings, so the CLI runs it by
+    default at every genus it accepts.
     Returns a report on success; raises IdentityViolation with the first
     differing coefficient otherwise, PairingNotAlternating or
     PairingNotBilinear for a pairing the count cannot use, or ValueError
@@ -403,11 +308,10 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
 
         # Floyd's draw: `sample` distinct values, uniform, in `sample` steps.
         # random.sample takes the population's len, past ssize_t from g = 32 on.
-        draw, values = random.Random(seed).randrange, {}
+        draw, gammas = random.Random(seed).randrange, {}
         for top in range(population - sample + 1, population + 1):
             value = draw(1, top + 1)
-            values[top if value in values else value] = None
-        gammas = (Gamma2Element.from_int(value, g) for value in values)
+            gammas[top if value in gammas else value] = None
     lhs = e_poly_kappa_lhs(g)
     rhs_by_count = {}
     for gamma, minus in _minus_counts(g, gammas):  # at least one gamma, so rhs is bound
@@ -415,7 +319,6 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
             continue
         rhs = rhs_by_count[minus] = _rhs_from_count(g, minus)
         if rhs != lhs:
-            for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-                if lhs.coefficient(*key) != rhs.coefficient(*key):
-                    raise IdentityViolation(g, gamma.bits, key, lhs.coefficient(*key), rhs.coefficient(*key))
+            key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0))
+            raise IdentityViolation(g, _bits(g, gamma), key, lhs.get(key, 0), rhs.get(key, 0))
     return MirrorReport(genus=g, elements_checked=sample, lhs=lhs, rhs_sample=rhs)

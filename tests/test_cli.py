@@ -860,25 +860,28 @@ class TestPlumbing:
         assert int(report.read_text()) > 0
 
     def test_module_form_prints_what_main_prints(self):
-        # python -m higgsmoduli.cli runs main, as the installed entry point does,
-        # and holds one cli: _cmd_git, which imports it, gets the running module
+        # python -m higgsmoduli.cli and the file run as a script run main, as
+        # the installed entry point does, and each holds one cli: _cmd_git,
+        # which imports it, gets the running module, not a second copy
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         over = str(cap(("mirror",), "--genus") + 1)
         for argv, code in ((["mirror", "--genus", "2", "--format", "json"], 0),
                            (["mirror", "--genus", over], 2),
                            (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5",
                              "--genus", "2"], 0)):
-            module, entry = (subprocess.run([sys.executable, "-X", "importtime", *head, *argv],
-                                            capture_output=True, env=env, timeout=60)
-                             for head in (["-m", "higgsmoduli.cli"],
-                                          ["-c", "from higgsmoduli.cli import main; main()"]))
-            (module_imports, module_err), (entry_imports, entry_err) = map(
-                split_importtime, (module.stderr, entry.stderr))
-            assert (module.returncode, entry.returncode) == (code, code)
-            assert (module.stdout, module_err) == (entry.stdout, entry_err)
+            entry, *others = (subprocess.run([sys.executable, "-X", "importtime", *head, *argv],
+                                             capture_output=True, env=env, timeout=60)
+                              for head in (["-c", "from higgsmoduli.cli import main; main()"],
+                                           ["-m", "higgsmoduli.cli"],
+                                           [str(ROOT / "src" / "higgsmoduli" / "cli.py")]))
+            entry_imports, entry_err = split_importtime(entry.stderr)
+            assert entry.returncode == code
             assert entry.stdout if code == 0 else entry_err.startswith(b"error: ")
             assert b"higgsmoduli.cli" in entry_imports
-            assert b"higgsmoduli.cli" not in module_imports
+            for done in others:
+                imports, err = split_importtime(done.stderr)
+                assert (done.returncode, done.stdout, err) == (code, entry.stdout, entry_err), argv
+                assert b"higgsmoduli.cli" not in imports, (done.args, argv)
 
     def test_every_invocation_form_prints_the_same_bytes(self):
         # the entry point's code, python -m and the file run as a script: each

@@ -20,7 +20,6 @@ from higgsmoduli.exactpoly import (
     series_expand,
 )
 from higgsmoduli.higgs import poincare_M_closed, poincare_M_stratified
-from higgsmoduli.mirror import BivarPoly
 
 ONE_PLUS_T = IntPoly([1, 1])
 ONE_MINUS_T = IntPoly([1, -1])
@@ -511,13 +510,3 @@ class TestCoeffExtract:
                 acc2[i + j] = acc2[i + j] + acc[i] * IntPoly.monomial(2 * j)
         assert acc2[n] == coeff_extract_x(g, n)
 
-
-class TestBivarPoly:
-    def test_no_stored_zeros(self):
-        p = BivarPoly({(0, 0): 1, (1, 1): 0})
-        assert p == BivarPoly({(0, 0): 1})
-        assert p.coefficient(1, 1) == 0
-
-    def test_to_sorted_dict(self):
-        p = BivarPoly({(10, 3): 1, (2, 1): -2})
-        assert p.to_sorted_dict() == {"2,1": -2, "10,3": 1}

@@ -9,7 +9,7 @@ from sympy.abc import t, u, v, x
 from higgsmoduli.bundles import poincare_N_closed, strata_equivariant_poly
 from higgsmoduli.exactpoly import coeff_extract_x
 from higgsmoduli.higgs import poincare_M_closed
-from higgsmoduli.mirror import Gamma2Element, e_poly_kappa_lhs, e_poly_rhs
+from higgsmoduli.mirror import e_poly_kappa_lhs, e_poly_rhs
 
 
 def poly_from_expr(expr, var):
@@ -84,14 +84,11 @@ def test_mirror_lhs_matches_sympy_half_difference():
             )
         )
         got = e_poly_kappa_lhs(g)
-        assert bivar_from_expr(expr) == dict(
-            (pq, c) for pq, c in got.monomials()
-        )
+        assert bivar_from_expr(expr) == got
 
 
 def test_mirror_rhs_matches_lhs_per_sympy():
     for g in (2, 3):
-        gamma = Gamma2Element.from_int(3, g)
         lhs = e_poly_kappa_lhs(g)
-        rhs = e_poly_rhs(g, gamma)
+        rhs = e_poly_rhs(g, 3)
         assert lhs == rhs
