@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, exit codes, JSON stability."""
 import contextlib
 import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -1163,10 +1164,21 @@ def test_benchmarked_calls_take_the_strict_parse(bench):
     assert len(keys) > 100
 
 
+# SHA-256 of each demo's stdout: an API change that ports a demo must leave
+# what it prints byte for byte as it was.
+DEMO_STDOUT_SHA256 = {
+    "betti_tables.py": "1c9857f78d6bd573ea6fcd15091507e41dc56f5058031b2ac081aa0148fea024",
+    "mirror_symmetry.py": "ff78a2f0d412adcdd94d469e8b17de06b28ba53dd6a24e823666cb244952480f",
+    "spectral_and_dimensions.py": "1b960cb8905fb057aa3d940e197e2be0da0ab75c18c50a822d0456b15a316da3",
+    "stability_playground.py": "6ba465a4f87f857bbc8265f1170f090bec3311f653d12fe7299236ce8d121d81",
+}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    stderr = done.stderr.decode(errors="replace")
+    assert done.returncode == 0, stderr
+    assert "Traceback" not in stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name]
