@@ -7,7 +7,6 @@ form, and the numerology of the rank-r spectral cover.
 """
 
 from higgsmoduli import (
-    ModuliParams,
     coeff_extract_x,
     hitchin_base_dim,
     moduli_dim,
@@ -17,18 +16,18 @@ from higgsmoduli import (
 print("rank 2, odd degree:")
 print(f"{'g':>3} {'bundles SL':>11} {'bundles GL':>11} {'higgs SL':>9} "
       f"{'higgs GL':>9} {'base red':>9} {'base full':>10}")
+spaces = ("bundles", "higgs", "hitchin-base")  # no degree enters a dimension
 for g in range(2, 8):
-    sl = ModuliParams(2, 1, g, group="SL")
-    gl = ModuliParams(2, 1, g, group="GL")
-    print(f"{g:>3} {moduli_dim(sl, 'bundles'):>11} {moduli_dim(gl, 'bundles'):>11} "
-          f"{moduli_dim(sl, 'higgs'):>9} {moduli_dim(gl, 'higgs'):>9} "
-          f"{moduli_dim(sl, 'hitchin-base'):>9} {moduli_dim(gl, 'hitchin-base'):>10}")
+    sl = {space: moduli_dim(2, g, space, group="SL") for space in spaces}
+    gl = {space: moduli_dim(2, g, space, group="GL") for space in spaces}
+    print(f"{g:>3} {sl['bundles']:>11} {gl['bundles']:>11} {sl['higgs']:>9} {gl['higgs']:>9} "
+          f"{sl['hitchin-base']:>9} {gl['hitchin-base']:>10}")
 
 # the Hitchin map is a Lagrangian fibration: base is half the total space
 print()
 for r in (2, 3, 4):
     g = 3
-    half = moduli_dim(ModuliParams(r, 1, g, group="SL"), "higgs") // 2
+    half = moduli_dim(r, g, "higgs", group="SL") // 2
     print(f"r={r}, g={g}: reduced base {hitchin_base_dim(r, g, reduced=True)}"
           f" == half the SL Higgs dimension {half}")
 
@@ -46,7 +45,7 @@ for r, g, d in [(2, 2, 1), (2, 3, 1), (3, 2, 0), (4, 2, 3), (1, 3, 0)]:
 print()
 r, g, d = 2, 3, 1
 s = spectral_numbers(r, g, d)
-gl_total = moduli_dim(ModuliParams(r, d, g, group="GL"), "higgs")
+gl_total = moduli_dim(r, g, "higgs", group="GL")
 print(f"r={r}, g={g}: spectral genus {s.spectral_genus} "
       f"(fiber Jacobian) + full base {hitchin_base_dim(r, g)} "
       f"= {s.spectral_genus + hitchin_base_dim(r, g)} = GL Higgs {gl_total}")

@@ -8,7 +8,6 @@ the quotient-construction semistability inequality, all in exact integers.
 
 from higgsmoduli import (
     FiltrationData,
-    WeightProfile,
     hilbert_poly,
     hm_weight,
     quotient_semistability_test,
@@ -19,7 +18,7 @@ from higgsmoduli import (
 # appearing on its nonzero coordinates
 profiles = [(1, 2), (0,), (-1, 2), (-1, -2), (0, 3), (-4, 0), (-1, 0, 1)]
 for weights in profiles:
-    verdict = torus_classify(WeightProfile(weights))
+    verdict = torus_classify(weights)
     print(f"weights {str(weights):>12}  ->  {verdict.value}")
 
 # destabilizing one-parameter subgroups come as weighted filtrations; the

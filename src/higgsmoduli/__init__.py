@@ -28,14 +28,13 @@ _EXPORTS = {
         "weil_pairing",
     ),
     "geometry": (
-        "HNType", "IncompatibleTypes", "ModuliParams", "SpectralNumbers",
-        "UnsupportedCombination", "hilbert_poly", "hitchin_base_dim", "hn_leq",
-        "moduli_dim", "spectral_numbers",
+        "HNType", "IncompatibleTypes", "SpectralNumbers", "UnsupportedCombination",
+        "hilbert_poly", "hitchin_base_dim", "hn_leq", "moduli_dim", "spectral_numbers",
     ),
     "stability": (
         "Block", "EmptyProfile", "ExpressionMismatch", "FiltrationData",
-        "NonIntegerWeight", "NonPositiveEuler", "Stability", "WeightProfile",
-        "hm_weight", "quotient_semistability_test", "torus_classify",
+        "NonIntegerWeight", "NonPositiveEuler", "Stability", "hm_weight",
+        "quotient_semistability_test", "torus_classify",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,20 +4,12 @@
 def dims(args) -> tuple[dict, list, list]:
     from . import geometry
 
-    params = geometry.ModuliParams(args.rank, args.degree, args.genus, group=args.group.upper())
-    dims = {
-        "bundles": geometry.moduli_dim(params, "bundles"),
-        "higgs": geometry.moduli_dim(params, "higgs"),
-        "hitchin_base": geometry.moduli_dim(params, "hitchin-base"),
-    }
-    payload = {
-        "rank": params.r,
-        "degree": params.d,
-        "genus": params.g,
-        "group": params.group,
-        **dims,
-    }
-    header = f"rank {params.r}  degree {params.d}  genus {params.g}  group {params.group}"
+    group = args.group.upper()
+    spaces = {"bundles": "bundles", "higgs": "higgs", "hitchin_base": "hitchin-base"}
+    dims = {key: geometry.moduli_dim(args.rank, args.genus, space, group)
+            for key, space in spaces.items()}
+    payload = {"rank": args.rank, "degree": args.degree, "genus": args.genus, "group": group, **dims}
+    header = f"rank {args.rank}  degree {args.degree}  genus {args.genus}  group {group}"
     lines = [header, *(f"{name:<13}{value}" for name, value in dims.items())]
     return payload, lines, list(payload.items())
 

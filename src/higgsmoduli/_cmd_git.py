@@ -9,7 +9,7 @@ def classify(args) -> tuple[dict, list, list]:
         weights = tuple(int(w) for w in args.weights.split(",") if w.strip() != "")
     except ValueError:
         raise ValueError(f"--weights expects comma-separated integers, got {args.weights!r}")
-    verdict = stability.torus_classify(stability.WeightProfile(weights))
+    verdict = stability.torus_classify(weights)
     latex = [("weights", ",".join(map(str, weights))), ("verdict", verdict.value)]
     return {"weights": list(weights), "verdict": verdict.value}, [verdict.value], latex
 

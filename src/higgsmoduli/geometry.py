@@ -3,10 +3,12 @@ Integer invariants of the moduli spaces and their spectral geometry.
 
 Everything here is a closed-form calculation on a compact Riemann surface X
 of genus g >= 2: complex dimensions of the moduli spaces of bundles and Higgs
-bundles, the dimension of the Hitchin base by Riemann-Roch, genus and
-ramification of spectral curves by Riemann-Hurwitz, the degree shift of a
-pushed-forward line bundle by Grothendieck-Riemann-Roch, Hilbert polynomials
-of twisted bundles, and the Shatz partial order on Harder-Narasimhan types.
+bundles, which depend on rank, genus and structure group only (no degree
+enters moduli_dim), the dimension of the Hitchin base by Riemann-Roch, genus
+and ramification of spectral curves by Riemann-Hurwitz, the degree shift of
+a pushed-forward line bundle by Grothendieck-Riemann-Roch, Hilbert
+polynomials of twisted bundles, and the Shatz partial order on
+Harder-Narasimhan types.
 
 Slopes are exact rationals (fractions.Fraction); no floating point is used,
 so order comparisons between types are exact.
@@ -30,6 +32,7 @@ class IncompatibleTypes(ValueError):
 
 
 _GROUPS = ("GL", "SL", "PGL")
+_SPACES = ("bundles", "higgs", "hitchin-base")
 
 
 def _check_rank_genus(r: int, g: int, *rest: int) -> tuple[int, ...]:
@@ -46,58 +49,29 @@ def _check_rank_genus(r: int, g: int, *rest: int) -> tuple[int, ...]:
     return (r, g, *rest)
 
 
-class ModuliParams(Record):
+def moduli_dim(r: int, g: int, space: str, group: str = "SL") -> int:
     """
-    The numerical parameters (rank, degree, genus, structure group) that
-    every formula takes.  The genus is required to be at least 2, where the
-    moduli problems have their full complexity.
+    Complex dimension of a moduli space of rank r on a genus-g curve.  No
+    degree enters: each formula depends on rank, genus and group only.
 
-    The Betti-number pipelines in `bundles` and `higgs` cover the rank-2,
-    odd-degree case only; this record carries general (r, d) for the
-    dimension and spectral calculators.
-    """
-
-    __slots__ = _fields = ("r", "d", "g", "group")
-
-    def __init__(self, r: int, d: int, g: int, group: str = "SL"):
-        r, g, d = _check_rank_genus(r, g, d)
-        if group.upper() not in _GROUPS:
-            raise UnsupportedCombination(f"unknown structure group {group!r}")
-        super().__init__(r, d, g, group.upper())
-
-
-_SPACE_ALIASES = {
-    "bundles": "bundles",
-    "higgs": "higgs",
-    "betti": "higgs",
-    "dolbeault": "higgs",
-    "hitchin-base": "hitchin-base",
-}
-
-
-def moduli_dim(params: ModuliParams, space: str) -> int:
-    """
-    Complex dimension of a moduli space attached to (r, d, g, group).
-
-    For bundles: dim = (g-1) r^2 + 1 for GL_r, and (r^2 - 1)(g-1) for SL_r.
-    The Higgs (equivalently Betti / character variety) spaces are holomorphic
+    space is "bundles", "higgs" or "hitchin-base", and group is "GL", "SL" or
+    "PGL"; any other value raises UnsupportedCombination.  For bundles:
+    dim = (g-1) r^2 + 1 for GL_r, and (r^2 - 1)(g-1) for SL_r.  The Higgs
+    (equivalently Betti / character variety) spaces are holomorphic
     symplectic and have exactly twice those dimensions.  The PGL_r spaces are
     finite quotients of the SL_r ones by the group of r-torsion line bundles,
     so their dimensions coincide with the SL_r values.  "hitchin-base" gives
     the dimension of the full Hitchin base for GL_r and of the reduced
     (traceless) base for SL_r and PGL_r.
     """
-    try:
-        space = _SPACE_ALIASES[space.lower()]
-    except KeyError:
-        raise UnsupportedCombination(f"unknown space {space!r}") from None
-    r, g = params.r, params.g
+    r, g = _check_rank_genus(r, g)
+    if group not in _GROUPS:
+        raise UnsupportedCombination(f"unknown structure group {group!r}")
+    if space not in _SPACES:
+        raise UnsupportedCombination(f"unknown space {space!r}")
     if space == "hitchin-base":
-        return hitchin_base_dim(r, g, reduced=params.group != "GL")
-    if params.group == "GL":
-        base = (g - 1) * r * r + 1
-    else:
-        base = (r * r - 1) * (g - 1)
+        return hitchin_base_dim(r, g, reduced=group != "GL")
+    base = (g - 1) * r * r + 1 if group == "GL" else (r * r - 1) * (g - 1)
     return base if space == "bundles" else 2 * base
 
 

@@ -4,12 +4,12 @@ Combinatorial GIT stability: torus weight profiles and Hilbert-Mumford weights.
 Three calculations, all in exact integer arithmetic:
 
 * torus_classify decides the GIT status of a point under a one-parameter
-  torus action from the multiset of weights on its nonzero coordinates, by
-  the limit analysis of the orbit at 0 and at infinity.  The inverse
-  subgroup lambda -> 1/lambda negates the profile, so the classifier is
-  symmetric under negation; this extends the familiar one-direction case
-  analysis (which looks only at lambda -> 0) to profiles whose weights are
-  all nonpositive.
+  torus action from the multiset of weights on its nonzero coordinates,
+  passed as a plain iterable of ints, by the limit analysis of the orbit at
+  0 and at infinity.  The inverse subgroup lambda -> 1/lambda negates the
+  profile, so the classifier is symmetric under negation; this extends the
+  familiar one-direction case analysis (which looks only at lambda -> 0) to
+  profiles whose weights are all nonpositive.
 
 * hm_weight evaluates the Hilbert-Mumford weight of a weighted filtration
   in its two standard forms,
@@ -18,7 +18,8 @@ Three calculations, all in exact integer arithmetic:
     = sum_(i<s) (a_(i+1) - a_i) [chi(E_i(m)) - (dim F_i / N) chi(E(m))],
 
   and asserts their agreement at runtime (they are equal exactly when the
-  weights satisfy the special-linear constraint sum N_i a_i = 0).
+  weights satisfy the special-linear constraint sum N_i a_i = 0, which
+  FiltrationData checks when it is built).
 
 * quotient_semistability_test evaluates the subspace inequality
   N'/chi(E'(m)) <= N/chi(E(m)) in cross-multiplied integer form.
@@ -54,21 +55,12 @@ class Stability(enum.Enum):
     STABLE = "Stable"
 
 
-class WeightProfile(Record):
-    """The multiset of torus weights appearing on the nonzero coordinates of a point."""
-
-    __slots__ = _fields = ("weights",)
-
-    def __init__(self, weights):
-        weights = tuple(map(operator.index, weights))
-        if not weights:
-            raise EmptyProfile("a weight profile must be nonempty")
-        super().__init__(weights)
-
-
-def torus_classify(profile: WeightProfile) -> Stability:
+def torus_classify(weights) -> Stability:
     """
-    Classify a point from its weight profile P.
+    Classify a point from its weight profile P: the multiset of torus
+    weights on its nonzero coordinates, read with operator.index, so a float
+    or a string raises TypeError.  P must be nonempty (a point has a nonzero
+    lift), else EmptyProfile.
 
     lim_(lambda->0) lambda.y exists iff min P >= 0 and is 0 iff min P > 0;
     lim_(lambda->inf) exists iff max P <= 0 and is 0 iff max P < 0.  Hence:
@@ -79,7 +71,10 @@ def torus_classify(profile: WeightProfile) -> Stability:
     and a profile touching 0 from one side only has a limit that is a
     nonzero fixed point outside the orbit (strictly semistable).
     """
-    lo, hi = min(profile.weights), max(profile.weights)
+    weights = tuple(map(operator.index, weights))
+    if not weights:
+        raise EmptyProfile("a weight profile must be nonempty")
+    lo, hi = min(weights), max(weights)
     if lo > 0 or hi < 0:
         return Stability.UNSTABLE
     if lo == 0 and hi == 0:

@@ -15,7 +15,6 @@ from higgsmoduli.bundles import poincare_N_closed, poincare_N_recursion
 from higgsmoduli.exactpoly import coeff_extract_x
 from higgsmoduli.geometry import (
     HNType,
-    ModuliParams,
     hilbert_poly,
     hitchin_base_dim,
     hn_leq,
@@ -26,7 +25,6 @@ from higgsmoduli.higgs import poincare_M_closed, poincare_M_stratified
 from higgsmoduli.mirror import mirror_verify
 from higgsmoduli.stability import (
     Stability,
-    WeightProfile,
     hm_weight,
     torus_classify,
 )
@@ -128,11 +126,9 @@ def test_criterion_5_property_suites(capsys):
     # half-dimension identity, r=1..6, g=2..10
     for r in range(1, 7):
         for g in range(2, 11):
-            gl = ModuliParams(r, 0, g, group="GL")
-            assert 2 * hitchin_base_dim(r, g) == moduli_dim(gl, "higgs")
+            assert 2 * hitchin_base_dim(r, g) == moduli_dim(r, g, "higgs", group="GL")
             if r >= 2:
-                sl = ModuliParams(r, 0, g, group="SL")
-                assert 2 * hitchin_base_dim(r, g, reduced=True) == moduli_dim(sl, "higgs")
+                assert 2 * hitchin_base_dim(r, g, reduced=True) == moduli_dim(r, g, "higgs")
 
     # Riemann-Hurwitz consistency
     for r in range(1, 7):
@@ -164,9 +160,7 @@ def test_criterion_5_property_suites(capsys):
     for _ in range(300):
         ws = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
         scale = rng.randint(1, 9)
-        assert torus_classify(WeightProfile(ws)) is torus_classify(
-            WeightProfile([scale * w for w in ws])
-        )
+        assert torus_classify(ws) is torus_classify([scale * w for w in ws])
 
     with capsys.disabled():
         report(5, "property suites (palindromes, Euler, half-dimension, "
@@ -174,9 +168,9 @@ def test_criterion_5_property_suites(capsys):
 
 
 def test_criterion_6_git_golden_cases(capsys):
-    assert torus_classify(WeightProfile([1, 2])) is Stability.UNSTABLE
-    assert torus_classify(WeightProfile([0])) is Stability.STRICTLY_POLYSTABLE
-    assert torus_classify(WeightProfile([-1, 2])) is Stability.STABLE
+    assert torus_classify([1, 2]) is Stability.UNSTABLE
+    assert torus_classify([0]) is Stability.STRICTLY_POLYSTABLE
+    assert torus_classify([-1, 2]) is Stability.STABLE
     for flags, expected in [
         ("1,2", "Unstable"),
         ("0", "StrictlyPolystable"),

@@ -364,6 +364,21 @@ class TestDims:
         code, _, _ = invoke(capsys, "dims", "--rank", "0", "--genus", "2")
         assert code == 2
 
+    @given(st.integers(1, 6), st.integers(2, 9), st.sampled_from(["gl", "sl", "pgl"]))
+    @settings(max_examples=30, deadline=None)
+    def test_degree_enters_no_dimension(self, rank, genus, group):
+        # --degree is echoed, but no dimension formula reads it
+        seen = set()
+        for degree in range(-20, 21):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.run(["dims", "--rank", str(rank), "--genus", str(genus),
+                                f"--degree={degree}", "--group", group, "--format", "json"])
+            payload = json.loads(out.getvalue())
+            assert code == 0 and payload["degree"] == degree
+            seen.add((payload["bundles"], payload["higgs"], payload["hitchin_base"]))
+        assert len(seen) == 1
+
 
 class TestSpectral:
     def test_plain_columns_stay_separated(self, capsys):

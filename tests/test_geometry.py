@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from higgsmoduli.geometry import (
     HNType,
     IncompatibleTypes,
-    ModuliParams,
     UnsupportedCombination,
     hilbert_poly,
     hitchin_base_dim,
@@ -27,32 +26,18 @@ def hitchin_base_dim_by_terms(r, g, reduced):
     return total
 
 
-class TestModuliParams:
-    def test_group_normalized(self):
-        assert ModuliParams(2, 1, 2, group="sl").group == "SL"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModuliParams(0, 1, 2)
-        with pytest.raises(ValueError):
-            ModuliParams(2, 1, 1)
-        with pytest.raises(ValueError):
-            ModuliParams(2, 1, 2, group="SO")
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: ModuliParams(2.5, 1, 2),
-        lambda: ModuliParams(2, "1", 2),
-        lambda: ModuliParams(2, 1, 2.0),
+        lambda: moduli_dim(2.5, 2, "higgs"),
+        lambda: moduli_dim(2, 2.0, "higgs"),
         lambda: spectral_numbers(2.5, 2, 1),
         lambda: spectral_numbers(2, 2, 1.5),
         lambda: hitchin_base_dim(2, 3.5),
         lambda: hilbert_poly(2, 1, 2, 0.5),
     ],
-    ids=["params-rank", "params-degree", "params-genus", "spectral-rank", "spectral-degree",
-         "base-genus", "hilbert-twist"],
+    ids=["params-rank", "params-genus", "spectral-rank", "spectral-degree", "base-genus",
+         "hilbert-twist"],
 )
 def test_non_integer_input_raises_type_error(call):
     # r, d, g and n are read with operator.index, never truncated or carried into the formulas
@@ -62,35 +47,46 @@ def test_non_integer_input_raises_type_error(call):
 
 class TestModuliDim:
     def test_rank_two_genus_two(self):
-        p = ModuliParams(2, 1, 2)
-        assert moduli_dim(p, "bundles") == 3
-        assert moduli_dim(p, "higgs") == 6
-        g = ModuliParams(2, 1, 2, group="GL")
-        assert moduli_dim(g, "bundles") == 5
-        assert moduli_dim(g, "higgs") == 10
+        assert moduli_dim(2, 2, "bundles") == 3
+        assert moduli_dim(2, 2, "higgs") == 6
+        assert moduli_dim(2, 2, "bundles", group="GL") == 5
+        assert moduli_dim(2, 2, "higgs", group="GL") == 10
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            moduli_dim(0, 2, "bundles")
+        with pytest.raises(ValueError):
+            moduli_dim(2, 1, "bundles")
+        with pytest.raises(UnsupportedCombination):
+            moduli_dim(2, 2, "bundles", group="SO")
 
     def test_space_aliases(self):
-        p = ModuliParams(2, 1, 2)
-        assert moduli_dim(p, "betti") == moduli_dim(p, "higgs")
-        assert moduli_dim(p, "dolbeault") == moduli_dim(p, "higgs")
+        # a space is one of the three names the CLI passes: no alias, no other case
+        for space in ("betti", "dolbeault", "Higgs", "BUNDLES", "hitchin_base"):
+            with pytest.raises(UnsupportedCombination):
+                moduli_dim(2, 2, space)
+
+    @pytest.mark.parametrize("value", [None, "betti", "sl", "Gl", 2, ["SL"]])
+    def test_unsupported_group_or_space(self, value):
+        with pytest.raises(UnsupportedCombination):
+            moduli_dim(2, 2, "higgs", group=value)
+        with pytest.raises(UnsupportedCombination):
+            moduli_dim(2, 2, value)
 
     def test_pgl_matches_sl(self):
         # the PGL space is a finite quotient of the SL space
         for space in ("bundles", "higgs", "hitchin-base"):
-            sl = moduli_dim(ModuliParams(3, 1, 4, group="SL"), space)
-            pgl = moduli_dim(ModuliParams(3, 1, 4, group="PGL"), space)
-            assert sl == pgl
+            assert moduli_dim(3, 4, space, group="SL") == moduli_dim(3, 4, space, group="PGL")
 
     def test_higgs_is_double(self):
         for group in ("GL", "SL"):
             for r in (1, 2, 3):
                 for g in (2, 3, 5):
-                    p = ModuliParams(r, 0, g, group=group)
-                    assert moduli_dim(p, "higgs") == 2 * moduli_dim(p, "bundles")
+                    assert moduli_dim(r, g, "higgs", group) == 2 * moduli_dim(r, g, "bundles", group)
 
     def test_unknown_space(self):
         with pytest.raises(UnsupportedCombination):
-            moduli_dim(ModuliParams(2, 1, 2), "flat-connections")
+            moduli_dim(2, 2, "flat-connections")
 
 
 class TestHitchinBase:
@@ -121,15 +117,13 @@ class TestHitchinBase:
             for g in range(2, 11):
                 full = hitchin_base_dim(r, g)
                 reduced = hitchin_base_dim(r, g, reduced=True)
-                gl = ModuliParams(r, 0, g, group="GL")
-                sl = ModuliParams(r, 0, g, group="SL")
-                assert 2 * full == moduli_dim(gl, "higgs")
+                assert 2 * full == moduli_dim(r, g, "higgs", group="GL")
                 if r >= 2:
-                    assert 2 * reduced == moduli_dim(sl, "higgs")
+                    assert 2 * reduced == moduli_dim(r, g, "higgs", group="SL")
 
     def test_moduli_dim_routes_to_base(self):
-        assert moduli_dim(ModuliParams(2, 1, 2, group="GL"), "hitchin-base") == 5
-        assert moduli_dim(ModuliParams(2, 1, 2, group="SL"), "hitchin-base") == 3
+        assert moduli_dim(2, 2, "hitchin-base", group="GL") == 5
+        assert moduli_dim(2, 2, "hitchin-base", group="SL") == 3
 
 
 class TestSpectralNumbers:

@@ -4,10 +4,11 @@ import pickle
 
 import pytest
 
+from higgsmoduli._record import Record
 from higgsmoduli.exactpoly import IntPoly, TruncSeries
-from higgsmoduli.geometry import HNType, ModuliParams
+from higgsmoduli.geometry import HNType
 from higgsmoduli.mirror import MirrorReport
-from higgsmoduli.stability import FiltrationData, WeightProfile
+from higgsmoduli.stability import FiltrationData
 
 
 def report(genus=2):
@@ -36,23 +37,11 @@ CASES = {
         lambda: report(genus=3),
         "genus",
     ),
-    "ModuliParams": (
-        lambda: ModuliParams(r=2, d=1, g=3, group="pgl"),
-        "ModuliParams(r=2, d=1, g=3, group='PGL')",
-        lambda: ModuliParams(2, 1, 3),
-        "group",
-    ),
     "HNType": (
         lambda: HNType(blocks=[(1, 1), (1, 0)]),
         "HNType(blocks=((1, 1), (1, 0)))",
         lambda: HNType([(1, 2), (1, -1)]),
         "blocks",
-    ),
-    "WeightProfile": (
-        lambda: WeightProfile(weights=[1, 0, -2]),
-        "WeightProfile(weights=(1, 0, -2))",
-        lambda: WeightProfile([1, 0]),
-        "weights",
     ),
     "FiltrationData": (
         lambda: FiltrationData(blocks=[(1, 1, 1, 0), (1, -1, 1, 1)], m=5, g=2),
@@ -115,7 +104,6 @@ def test_copies_are_equal(name):
 # Two builds of each record from a float or a string where an integer belongs.
 NON_INTEGER = {
     "HNType": (lambda: HNType([(1.5, 0), (1, -1)]), lambda: HNType([(1, "0"), (1, -1)])),
-    "WeightProfile": (lambda: WeightProfile([0.5, -0.5]), lambda: WeightProfile(["1", "-1"])),
     "FiltrationData": (
         lambda: FiltrationData([(1, 1, 1, 0), (1, -1, 1, 1)], m=5.9, g=2.7),
         lambda: FiltrationData([(1, 1, 1, "0"), (1, -1, 1, 1)], m=5, g=2),
@@ -133,7 +121,11 @@ def test_non_integer_input_raises_type_error(name):
 
 def test_records_of_different_classes_are_never_equal():
     # equal field values, different classes
-    poly, profile = IntPoly([0, 1]), WeightProfile([0, 1])
-    assert poly.coeffs == profile.weights
-    assert poly.__eq__(profile) is NotImplemented and poly != profile
+    class Coeffs(Record):
+        __slots__ = _fields = ("coeffs",)
+
+    poly, other = IntPoly([0, 1]), Coeffs((0, 1))
+    assert poly.coeffs == other.coeffs
+    assert poly.__eq__(other) is NotImplemented and poly != other
+    assert other.__eq__(poly) is NotImplemented and other != poly
 

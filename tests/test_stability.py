@@ -17,7 +17,6 @@ from higgsmoduli.stability import (
     NonIntegerWeight,
     NonPositiveEuler,
     Stability,
-    WeightProfile,
     hm_weight,
     quotient_semistability_test,
     torus_classify,
@@ -25,7 +24,7 @@ from higgsmoduli.stability import (
 
 
 def classify(*weights):
-    return torus_classify(WeightProfile(weights))
+    return torus_classify(weights)
 
 
 class TestTorusClassifier:
@@ -44,8 +43,15 @@ class TestTorusClassifier:
         assert classify(0, 0) is Stability.STRICTLY_POLYSTABLE
 
     def test_empty_profile(self):
-        with pytest.raises(EmptyProfile):
-            WeightProfile(())
+        for empty in ((), [], iter(())):
+            with pytest.raises(EmptyProfile):
+                torus_classify(empty)
+
+    def test_non_integer_weights_raise_type_error(self):
+        # read with operator.index: never truncated, never parsed from text
+        for weights in ([0.5], [0.5, -0.5], ["1"], ["1", "-1"], [1, 2.0]):
+            with pytest.raises(TypeError):
+                torus_classify(weights)
 
     @given(st.lists(st.integers(-10, 10), min_size=1, max_size=8), st.integers(1, 5))
     @settings(max_examples=120)
