@@ -11,13 +11,16 @@ LaTeX value, which _output prints in the format --format names.  Exit codes
 are meant for scripted pipelines:
 
     0   success; any requested cross-checks passed
-    1   a mathematical verification failed (pipeline disagreement, mirror
-        identity violation, a Weil pairing that is not alternating or
-        not bilinear, internal consistency assertion)
-    2   invalid input (bad flags, out-of-range parameters, a value above
-        its stated cap), or an input too large to compute (MemoryError,
-        RecursionError)
+    1   a mathematical verification failed: pipeline disagreement, or an
+        ArithmeticError (mirror identity violation, a Weil pairing that is
+        not alternating or not bilinear, internal consistency assertion)
+    2   invalid input: bad flags, or a ValueError (out-of-range
+        parameters, a value above its stated cap); or an input too large
+        to compute (MemoryError, RecursionError)
     130 interrupted (KeyboardInterrupt, such as Ctrl-C)
+
+Every exception class the package exports subclasses exactly one of
+ValueError and ArithmeticError, so none escapes run as a traceback.
 
 JSON output is stable-ordered (sorted keys, index-ordered coefficient
 arrays) so golden files can compare bytes.

@@ -5,8 +5,8 @@ Everything downstream is bookkeeping with generating functions, so this module
 is deliberately small and strict: dense integer polynomials in one variable t
 (the carrier for Poincare polynomials) and truncated power series in t (the
 carrier for rational-function expansions whose tails must cancel).  The
-E-polynomials of the mirror check, sparse in two variables u, v, are a value
-record of the mirror module, with no arithmetic of their own.
+E-polynomials of the mirror check, sparse in two variables u, v, are plain
+dicts of the mirror module, with no arithmetic of their own.
 All coefficients are arbitrary-precision Python integers; there is no
 floating point and no rounding anywhere.
 
@@ -92,8 +92,7 @@ class IntPoly(Record):
     def monomial(exponent: int, coeff: int = 1) -> "IntPoly":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        coeffs = [0] * exponent + [coeff]
-        return IntPoly._of_ints(coeffs) if isinstance(coeff, int) else IntPoly(coeffs)
+        return IntPoly([0] * exponent + [coeff])
 
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -134,8 +133,6 @@ class IntPoly(Record):
         """Multiply by t^k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        if self.is_zero():
-            return self
         return IntPoly._of_ints((0,) * k + self.coeffs)
 
     def is_palindromic(self) -> bool:
@@ -396,14 +393,16 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
         sum over a + b + c = n of  C(2g, c) t^(c + 2b),
 
     so the coefficient of t^j is the sum of C(2g, c) over c = j (mod 2) with
-    0 <= c <= min(j, 2n - j, 2g).  With top = min(2g, n), these sums rise
-    through the prefix sums of the binomial row for j <= top, alternate
-    between the last two of them on the plateau top < j < 2n - top, and
-    mirror the rise for j >= 2n - top.  The parity prefix sums are built only
-    up to top and kept for the genus of the last call, growing when a later
-    call needs more, so consecutive calls at one genus (the fixed loci of one
-    Higgs moduli space) share them: O(n + g) exact integer steps for the
-    first call and O(n) list slicing for the next.
+    0 <= c <= min(j, 2n - j, 2g), and those of t^(2n-j) and t^j are equal.
+    With top = min(2g, n), the parity prefix sums of the binomial row give
+    the rise j = 0 .. top + 1.  Past t^(2g) the row is zero, so the sums
+    alternate between the last two, and repeating them extends the rise to
+    t^n; cut at t^n, the rise is then mirrored, along one path for every n.
+    The parity prefix sums are built only up to top + 1 and kept for the
+    genus of the last call, growing when a later call needs more, so
+    consecutive calls at one genus (the fixed loci of one Higgs moduli
+    space) share them: O(n + g) exact integer steps for the first call and
+    O(n) list slicing for the next.
 
     >>> coeff_extract_x(2, 1)
     IntPoly('1 + 4t + t^2')
@@ -412,14 +411,9 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
     top = min(2 * g, n)
-    rise = _parity_prefix(g, top)[:top + 1]
-    if top == n:
-        return IntPoly._of_ints(rise + rise[-2::-1])
-    # 2n - 2 top - 1 coefficients, odd in number, starting and ending one below top;
-    # here top = 2g, and both sums are 2^(2g-1) unless g = 0
-    below = rise[-2] if top else 0
-    plateau = [below, rise[-1]] * (n - top - 1) + [below]
-    return IntPoly._of_ints(rise + plateau + rise[::-1])
+    rise = _parity_prefix(g, top + 1)[:top + 2]
+    half = (rise + rise[-2:] * ((n - top) // 2))[:n + 1]
+    return IntPoly._of_ints(half + half[-2::-1])
 
 
 # The parity prefix sums of the binomial row C(2g, .) for the genus of the

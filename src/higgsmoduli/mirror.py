@@ -56,11 +56,10 @@ yields a kernel vector, whose zero row fails the identity; a kernel vector
 whose row is nonzero all the same raises PairingNotBilinear.  Every genus
 g >= 2 is accepted; the command line caps the genus it passes.
 """
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from math import comb
 
 from . import strata
-from ._record import Record
 
 
 class TrivialElement(ValueError):
@@ -273,11 +272,8 @@ def e_poly_rhs(g: int, gamma: int) -> dict[tuple[int, int], int]:
     return _rhs_from_count(g, minus)
 
 
-class MirrorReport(Record):
-    __slots__ = _fields = ("genus", "elements_checked", "lhs", "rhs_sample")
-
-    def __init__(self, genus: int, elements_checked: int, lhs: dict, rhs_sample: dict):
-        super().__init__(genus, elements_checked, lhs, rhs_sample)
+# A plain value: its two E-polynomials are dicts, so a report is not hashable.
+MirrorReport = namedtuple("MirrorReport", "genus elements_checked lhs rhs_sample")
 
 
 def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorReport:
@@ -292,7 +288,7 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     is linear in its first argument, and then checks the one gamma the
     certificate returns.  It reads O(g^2) pairings, so the CLI runs it by
     default at every genus it accepts.
-    Returns a report on success; raises IdentityViolation with the first
+    Returns a MirrorReport on success; raises IdentityViolation with the first
     differing coefficient otherwise, PairingNotAlternating or
     PairingNotBilinear for a pairing the count cannot use, or ValueError
     for g below 2.

@@ -155,10 +155,15 @@ def quotient_semistability_test(
     The subspace inequality N'/chi(E'(m)) <= N/chi(E(m)), evaluated as
     N' chi(E(m)) <= N chi(E'(m)) so no rationals appear.  Both Euler
     characteristics must be positive, which holds once m is large enough.
+    A subspace of C^N has N' <= N and a subsheaf of a rank-r sheaf has
+    r' <= r; anything else raises ValueError.
     """
-    Nprime, N = operator.index(Nprime), operator.index(N)
+    Nprime, N, rprime, r = map(operator.index, (Nprime, N, rprime, r))
     if Nprime < 0 or N < 1:
         raise ValueError("dimensions must be nonnegative, total positive")
+    if Nprime > N or rprime > r:
+        raise ValueError(f"a subsheaf needs N' <= N and r' <= r, got N'={Nprime}, N={N}, "
+                         f"r'={rprime}, r={r}")
     chi_sub = hilbert_poly(rprime, dprime, g, m)
     chi_total = hilbert_poly(r, d, g, m)
     if chi_sub <= 0 or chi_total <= 0:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import higgsmoduli
 from higgsmoduli import cli
 from higgsmoduli.exactpoly import IntPoly, coeff_extract_x
 
@@ -743,6 +744,16 @@ def split_importtime(stderr):
     return imports, rest
 
 
+# Every exception class the package exports, and the exit code and stderr
+# prefix of each family that run maps; an exported class in neither family
+# would escape run as a traceback and exit 1.
+EXPORTED_ERRORS = sorted(
+    name for names in higgsmoduli._EXPORTS.values() for name in names
+    if isinstance(getattr(higgsmoduli, name), type)
+    and issubclass(getattr(higgsmoduli, name), BaseException))
+EXIT_FAMILIES = {ValueError: (2, "error: "), ArithmeticError: (1, "verification failed: ")}
+
+
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
@@ -942,6 +953,27 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert error.__name__ in err
         assert "Traceback" not in err
+
+    def test_exported_errors_are_found(self):
+        # the test below must not pass by running over no class
+        assert {"NonDivisible", "IdentityViolation", "TrivialElement",
+                "NonPositiveEuler"} <= set(EXPORTED_ERRORS)
+
+    @pytest.mark.parametrize("name", EXPORTED_ERRORS)
+    def test_every_exported_error_exits_by_its_family(self, capsys, monkeypatch, name):
+        import higgsmoduli._cmd_geometry as handlers
+
+        error = getattr(higgsmoduli, name)
+        families = [family for family in EXIT_FAMILIES if issubclass(error, family)]
+        assert len(families) == 1, f"{name} must subclass exactly one of {list(EXIT_FAMILIES)}"
+        code, prefix = EXIT_FAMILIES[families[0]]
+
+        def failing(args):
+            raise error.__new__(error, "stubbed")  # past each class's own __init__
+
+        monkeypatch.setattr(handlers, "dims", failing)
+        expected = (code, "", f"{prefix}stubbed\n")  # one line on stderr, no traceback
+        assert invoke(capsys, "dims", "--rank", "2", "--genus", "2") == expected
 
     @pytest.mark.parametrize(
         "argv",

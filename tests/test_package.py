@@ -45,7 +45,7 @@ def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
 # gettext it imports), which only --help and usage errors need, nor typing or
 # re; nor signal, which main imports only after a broken pipe, nor __future__.
 POINCARE = ["_cmd_poincare", "_record", "exactpoly", "strata", "bundles"]
-MIRROR = ["_cmd_mirror", "_record", "strata", "mirror"]
+MIRROR = ["_cmd_mirror", "strata", "mirror"]
 LEAN = {*HEAVY, "argparse", "gettext", "typing", "re", "signal", "__future__"}
 
 

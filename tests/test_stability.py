@@ -164,6 +164,15 @@ class TestQuotientInequality:
         with pytest.raises(NonPositiveEuler):
             quotient_semistability_test(1, 1, 0, 3, 2, 1, 2, 0)
 
+    @pytest.mark.parametrize("args", [
+        (5, 1, 0, 3, 2, 1, 2, 10),  # a 5-dimensional subspace of C^3
+        (1, 3, 0, 3, 2, 1, 2, 10),  # a rank-3 subsheaf of a rank-2 sheaf
+        (5, 1, 0, 3, 2, 1, 2, 0),  # refused before the Euler characteristics are read
+    ])
+    def test_sub_larger_than_total_rejected(self, args):
+        with pytest.raises(ValueError, match="subsheaf"):
+            quotient_semistability_test(*args)
+
     @pytest.mark.parametrize(
         "rprime,dprime,expect",
         [(1, 1, False), (1, 0, True)],
