@@ -94,25 +94,26 @@ def _output(fmt: str, payload: dict, lines, latex) -> None:
 # arguments, each a flag and its add_argument options.  Every subcommand also
 # takes FORMAT, last.  The first of two words names a group of GROUPS,
 # which has its own help.  A capped flag's options hold its cap (abs_cap caps
-# |value|), which its help states.  At the caps, poincare (vector-bundles)
-# takes about 0.4 s, mirror prints 1.1 MB of JSON (the sample cap bounds the
+# |value|), which its help names as {cap} or {abs_cap}: build_parser fills it
+# in from the same options.  At the caps, poincare (vector-bundles) takes
+# about 0.4 s, mirror prints 1.1 MB of JSON (the sample cap bounds the
 # sampled sweep, O(g) pairings an element) and macdonald 2.6 MB.
 FORMAT = ("--format", dict(choices=["plain", "json", "latex"], default="plain"))
 GROUPS = {"git": "GIT stability tools"}
 # The declarations that dims, spectral and git hm share
-_RANK = ("--rank", dict(type=int, required=True, cap=NUMBER_MAX, help=f"at most {NUMBER_MAX}"))
+_RANK = ("--rank", dict(type=int, required=True, cap=NUMBER_MAX, help="at most {cap}"))
 _GENUS = ("--genus", dict(type=int, required=True, cap=NUMBER_MAX,
-                          help=f"curve genus, at most {NUMBER_MAX}"))
-_DEGREE = dict(type=int, abs_cap=NUMBER_MAX, help=f"|degree| at most {NUMBER_MAX}")
+                          help="curve genus, at most {cap}"))
+_DEGREE = dict(type=int, abs_cap=NUMBER_MAX, help="|degree| at most {abs_cap}")
 COMMANDS = {
     ("poincare",): ("Poincare polynomial of a moduli space", "_cmd_poincare.poincare", [
         ("--space", dict(choices=["vector-bundles", "higgs"], required=True)),
-        ("--genus", dict(type=int, required=True, cap=400, help="curve genus, 2 to 400")),
+        ("--genus", dict(type=int, required=True, cap=400, help="curve genus, 2 to {cap}")),
         ("--via", dict(choices=["closed", "recursion", "strata", "both"], default="both"))]),
     ("mirror",): ("verify the rank-2 mirror-symmetry identity", "_cmd_mirror.mirror", [
-        ("--genus", dict(type=int, required=True, cap=128, help="curve genus, 2 to 128")),
+        ("--genus", dict(type=int, required=True, cap=128, help="curve genus, 2 to {cap}")),
         ("--sample", dict(type=int, default=None, cap=65535, help="check this many random "
-                          "nonzero elements instead of all 2^(2g)-1, at most 65535")),
+                          "nonzero elements instead of all 2^(2g)-1, at most {cap}")),
         ("--seed", dict(type=int, default=0))]),
     ("dims",): ("moduli and Hitchin-base dimensions", "_cmd_geometry.dims", [
         _RANK, _GENUS, ("--degree", dict(_DEGREE, default=0)),
@@ -125,11 +126,11 @@ COMMANDS = {
         ("--blocks", dict(required=True, metavar="N:a:r:d,...",
                           help=f"graded pieces, |entry| at most {NUMBER_MAX}")),
         ("--m", dict(type=int, required=True, abs_cap=NUMBER_MAX,
-                     help=f"twist, |m| at most {NUMBER_MAX}")),
+                     help="twist, |m| at most {abs_cap}")),
         ("--n", dict(type=int, default=None)), _GENUS]),
     ("macdonald",): ("Poincare polynomial of a symmetric product", "_cmd_poincare.macdonald", [
-        ("--genus", dict(type=int, required=True, cap=200, help="curve genus, at most 200")),
-        ("--n", dict(type=int, required=True, cap=10000, help="symmetric power, at most 10000"))]),
+        ("--genus", dict(type=int, required=True, cap=200, help="curve genus, at most {cap}")),
+        ("--n", dict(type=int, required=True, cap=10000, help="symmetric power, at most {cap}"))]),
 }
 
 
@@ -153,7 +154,8 @@ def build_parser():
             groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_command", required=True)
         p = groups.get(words[0], sub).add_parser(words[-1], help=help_text)
         for flag, options in (*arguments, FORMAT):
-            p.add_argument(flag, **{k: v for k, v in options.items() if k not in ("cap", "abs_cap")})
+            p.add_argument(flag, **{k: v.format(**options) if k == "help" else v
+                                    for k, v in options.items() if k not in ("cap", "abs_cap")})
         p.set_defaults(words=words)
     return parser
 

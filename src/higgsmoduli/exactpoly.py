@@ -15,8 +15,9 @@ the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
 binary operations keep the smaller of the two orders.
 
-Polynomial products walk the nonzero coefficients of the shorter operand and
-add each one's multiple of the longer operand into the result slice-wise, in
+Polynomial products walk the nonzero coefficients of the shorter operand,
+scale the longer operand by each one into a row shifted to its exponent, and
+add the rows through the same shifted sum as + and -, in
 O(nnz(shorter) len(longer)) steps.  Every product the pipelines make has a
 factor of at most five coefficients (the test suite pins this), so the cost
 is linear in the longer one.
@@ -65,6 +66,8 @@ def _trimmed(cs: list[int]) -> tuple[int, ...]:
 class IntPoly(Record):
     """
     A dense polynomial in t with integer coefficients, trailing zeros trimmed.
+    Each coefficient is read with operator.index, so a float or a string
+    raises TypeError and True is stored as 1.
 
     >>> IntPoly([1, 0, 1, 4])
     IntPoly('1 + t^2 + 4t^3')
@@ -75,11 +78,7 @@ class IntPoly(Record):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients only, got {c!r}")
-        object.__setattr__(self, "coeffs", _trimmed(cs))
+        object.__setattr__(self, "coeffs", _trimmed(list(map(operator.index, coeffs))))
 
     @classmethod
     def _of_ints(cls, coeffs) -> "IntPoly":
@@ -193,8 +192,9 @@ class IntPoly(Record):
         """
         The product, in O(nnz(shorter) len(longer)) steps.
 
-        Each nonzero coefficient b_j of the shorter operand adds b_j times the
-        longer operand into the slice of the result that starts at t^j.
+        Each nonzero coefficient b_j of the shorter operand scales the longer
+        operand into one row shifted by t^j, and the rows add through the
+        shifted sum that + and - use.
         """
         if isinstance(other, int):
             return IntPoly._of_ints(c * other for c in self.coeffs)
@@ -203,14 +203,7 @@ class IntPoly(Record):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return IntPoly()
-        n = len(a)
-        out = [0] * (n + len(b) - 1)
-        for j, c in enumerate(b):
-            if c:
-                out[j:j + n] = map(operator.add, out[j:j + n], map(c.__mul__, a))
-        return IntPoly._of_ints(out)
+        return _shifted_sum((j, tuple(map(c.__mul__, a))) for j, c in enumerate(b) if c)
 
     __rmul__ = __mul__
 
@@ -258,7 +251,8 @@ def _shifted_sum(terms) -> IntPoly:
     (shift, coeffs) pairs of terms.  Each term is added slice-wise into one
     list, and no shifted or padded polynomial is built for it: the part of
     the term that overlaps the sum so far costs one addition a coefficient,
-    and the part past its end is appended as it is.
+    and the part past its end is appended as it is.  Sums, differences and
+    products of IntPolys all add here.
 
     >>> _shifted_sum([(0, (1, 1)), (1, (2,)), (3, (0, 5))])
     IntPoly('1 + 3t + 5t^4')

@@ -168,6 +168,13 @@ def e_poly_kappa_lhs(g: int) -> dict[tuple[int, int], int]:
     return {key: c for key, c in coeffs.items() if c}
 
 
+def _check_alternating(g: int, gamma: int) -> None:
+    """Raise PairingNotAlternating unless gamma pairs to 1 with itself."""
+    self_pairing = weil_pairing(g, gamma, gamma)
+    if self_pairing != 1:
+        raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+
+
 def _minus_counts(g: int, gammas):
     """
     Yield (gamma, N_-(gamma)) with N_-(gamma) = #{gamma' : w(gamma, gamma') = -1}.
@@ -180,9 +187,7 @@ def _minus_counts(g: int, gammas):
     basis = [1 << j for j in range(2 * g)]
     half = 1 << (2 * g - 1)
     for gamma in gammas:
-        self_pairing = weil_pairing(g, gamma, gamma)
-        if self_pairing != 1:
-            raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+        _check_alternating(g, gamma)
         yield gamma, half if any(weil_pairing(g, gamma, e) < 0 for e in basis) else 0
 
 
@@ -197,9 +202,7 @@ def _certificate(g: int) -> int:
     """
     n = 2 * g
     for gamma in sorted((1 << i) | (1 << j) for i in range(n) for j in range(i + 1)):
-        self_pairing = weil_pairing(g, gamma, gamma)
-        if self_pairing != 1:
-            raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+        _check_alternating(g, gamma)
     basis = [1 << j for j in range(n)]
     rows = [sum(e for e in basis if weil_pairing(g, a, e) < 0) for a in basis]
     # Eliminate row by row, keeping which basis vectors each reduced row combines.

@@ -1,4 +1,5 @@
 """Exact-arithmetic kernel: polynomials and truncated series; the mirror's bivariate record."""
+import json
 import math
 import operator
 import tracemalloc
@@ -92,6 +93,11 @@ class TestIntPoly:
             IntPoly([1.5])
         with pytest.raises(TypeError):
             IntPoly([1, "2"])
+
+    def test_bool_coefficients_are_stored_as_int(self):
+        poly = IntPoly([True, 2])
+        assert all(type(c) is int for c in poly.coeffs)
+        assert json.dumps(poly.to_coeff_list()) == "[1, 2]"
 
     def test_degree_and_valuation(self):
         p = IntPoly([0, 0, 3, 0, 5])

@@ -1,4 +1,5 @@
 """Package surface: the public names, what an import loads, and the docstring examples."""
+import ast
 import doctest
 import importlib
 import inspect
@@ -37,6 +38,21 @@ def test_cli_import_loads_no_layer_and_no_heavy_stdlib():
     modules = loaded_modules("import higgsmoduli.cli")
     assert {m for m in modules if m.startswith("higgsmoduli.")} == {"higgsmoduli.cli"}
     assert modules & LEAN == set()
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every absolute import in the package, at module level or in a function,
+    # names the package or a module of the standard library
+    imported = set()
+    for path in sorted((SRC / "higgsmoduli").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    top = {name.partition(".")[0] for name in imported}
+    assert "operator" in top  # the walk reached the package's imports
+    assert top - sys.stdlib_module_names <= {"higgsmoduli"}, top - sys.stdlib_module_names
 
 
 # Every higgsmoduli module a call holds after it runs, beyond the package and
