@@ -28,8 +28,8 @@ _EXPORTS = {
         "weil_pairing",
     ),
     "geometry": (
-        "HNType", "IncompatibleTypes", "SpectralNumbers", "UnsupportedCombination",
-        "hilbert_poly", "hitchin_base_dim", "hn_leq", "moduli_dim", "spectral_numbers",
+        "SpectralNumbers", "UnsupportedCombination", "hilbert_poly", "hitchin_base_dim",
+        "moduli_dim", "spectral_numbers",
     ),
     "stability": (
         "Block", "EmptyProfile", "ExpressionMismatch", "FiltrationData",

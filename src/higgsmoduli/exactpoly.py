@@ -87,12 +87,6 @@ class IntPoly(Record):
         object.__setattr__(poly, "coeffs", _trimmed(list(coeffs)))
         return poly
 
-    @staticmethod
-    def monomial(exponent: int, coeff: int = 1) -> "IntPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return IntPoly([0] * exponent + [coeff])
-
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1

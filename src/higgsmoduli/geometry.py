@@ -6,12 +6,8 @@ of genus g >= 2: complex dimensions of the moduli spaces of bundles and Higgs
 bundles, which depend on rank, genus and structure group only (no degree
 enters moduli_dim), the dimension of the Hitchin base by Riemann-Roch, genus
 and ramification of spectral curves by Riemann-Hurwitz, the degree shift of
-a pushed-forward line bundle by Grothendieck-Riemann-Roch, Hilbert
-polynomials of twisted bundles, and the Shatz partial order on
-Harder-Narasimhan types.
-
-Slopes are exact rationals (fractions.Fraction); no floating point is used,
-so order comparisons between types are exact.
+a pushed-forward line bundle by Grothendieck-Riemann-Roch, and Hilbert
+polynomials of twisted bundles.
 
 The codimensions of the Harder-Narasimhan strata that the Atiyah-Bott
 recursion peels off are not here: they live with the other stratification
@@ -20,15 +16,9 @@ data in the strata module, so no Poincare call loads this one.
 import operator
 from collections import namedtuple
 
-from ._record import Record
-
 
 class UnsupportedCombination(ValueError):
     """A (group, space) selector with no tabulated dimension formula."""
-
-
-class IncompatibleTypes(ValueError):
-    """Harder-Narasimhan types with different total rank or degree."""
 
 
 _GROUPS = ("GL", "SL", "PGL")
@@ -120,57 +110,3 @@ def hilbert_poly(r: int, d: int, g: int, n: int) -> int:
     """
     r, g, d, n = _check_rank_genus(r, g, d, n)
     return d + r * (n + 1 - g)
-
-
-class HNType(Record):
-    """
-    A Harder-Narasimhan type: blocks (r_i, d_i) of the graded pieces of the
-    canonical filtration, with strictly decreasing slopes d_i / r_i.
-    """
-
-    __slots__ = _fields = ("blocks",)
-
-    def __init__(self, blocks):
-        from fractions import Fraction
-
-        blocks = tuple((operator.index(r), operator.index(d)) for r, d in blocks)
-        if not blocks:
-            raise ValueError("a type needs at least one block")
-        if any(r < 1 for r, _ in blocks):
-            raise ValueError("block ranks must be positive")
-        slopes = [Fraction(d, r) for r, d in blocks]
-        if any(a <= b for a, b in zip(slopes, slopes[1:])):
-            raise ValueError("slopes must be strictly decreasing")
-        super().__init__(blocks)
-
-    def rank(self) -> int:
-        return sum(r for r, _ in self.blocks)
-
-    def degree(self) -> int:
-        return sum(d for _, d in self.blocks)
-
-    def slope_vector(self) -> tuple:
-        """Each block's slope, a Fraction, repeated r_i times: a vector of length rank()."""
-        from fractions import Fraction
-
-        out = []
-        for r, d in self.blocks:
-            out.extend([Fraction(d, r)] * r)
-        return tuple(out)
-
-
-def hn_leq(a: HNType, b: HNType) -> bool:
-    """
-    The Shatz partial order: a <= b iff every partial sum of the length-r
-    slope vector of a is bounded by the one of b.  The full sums agree
-    (total degree is fixed), so indices 1..r-1 decide.
-    """
-    if a.rank() != b.rank() or a.degree() != b.degree():
-        raise IncompatibleTypes("types must share total rank and degree")
-    pa = pb = 0
-    for mu_a, mu_b in zip(a.slope_vector()[:-1], b.slope_vector()[:-1]):
-        pa += mu_a
-        pb += mu_b
-        if pa > pb:
-            return False
-    return True

@@ -1,17 +1,12 @@
-"""Dimensions, spectral-curve numerology, Hilbert polynomials, and the Shatz order."""
-from fractions import Fraction
-
+"""Dimensions, spectral-curve numerology, Hilbert polynomials, and HN codimensions."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsmoduli.geometry import (
-    HNType,
-    IncompatibleTypes,
     UnsupportedCombination,
     hilbert_poly,
     hitchin_base_dim,
-    hn_leq,
     moduli_dim,
     spectral_numbers,
 )
@@ -166,73 +161,6 @@ class TestHilbertPoly:
     def test_riemann_roch_at_zero_twist(self):
         # chi(E) = d + r(1-g)
         assert hilbert_poly(3, 2, 4, 0) == 2 + 3 * (1 - 4)
-
-
-class TestHNTypes:
-    def test_slope_vector(self):
-        t = HNType([(1, 1), (1, 0)])
-        assert t.slope_vector() == (Fraction(1), Fraction(0))
-        assert t.rank() == 2
-        assert t.degree() == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HNType([])
-        with pytest.raises(ValueError):
-            HNType([(0, 1)])
-        with pytest.raises(ValueError):
-            HNType([(1, 0), (1, 1)])  # slopes must strictly decrease
-
-    def test_leq_examples(self):
-        semistable = HNType([(2, 0)])
-        split = HNType([(1, 1), (1, -1)])
-        assert hn_leq(semistable, split)
-        assert not hn_leq(split, semistable)
-
-    def test_leq_slope_chain(self):
-        # slope vectors (1/2,1/2) <= (1,0) <= (2,-1) at rank 2, degree 1
-        half_half = HNType([(2, 1)])
-        one_zero = HNType([(1, 1), (1, 0)])
-        two_minus = HNType([(1, 2), (1, -1)])
-        assert hn_leq(half_half, one_zero)
-        assert hn_leq(one_zero, two_minus)
-        assert not hn_leq(two_minus, one_zero)
-
-    def test_incompatible(self):
-        with pytest.raises(IncompatibleTypes):
-            hn_leq(HNType([(2, 0)]), HNType([(3, 0)]))
-        with pytest.raises(IncompatibleTypes):
-            hn_leq(HNType([(2, 0)]), HNType([(2, 2)]))
-
-    @staticmethod
-    def rank2_types(degree):
-        # all rank-2 types of bounded height for partial-order sweeps
-        types = [HNType([(2, degree)])]
-        d1 = degree - (degree // 2)  # smallest d1 with d1 > d/2 handled below
-        for d1 in range(degree, degree + 5):
-            if Fraction(d1) > Fraction(degree - d1):
-                types.append(HNType([(1, d1), (1, degree - d1)]))
-        return types
-
-    def test_reflexive_antisymmetric_transitive(self):
-        types = self.rank2_types(1)
-        for a in types:
-            assert hn_leq(a, a)
-        for a in types:
-            for b in types:
-                if hn_leq(a, b) and hn_leq(b, a):
-                    assert a == b
-        for a in types:
-            for b in types:
-                for c in types:
-                    if hn_leq(a, b) and hn_leq(b, c):
-                        assert hn_leq(a, c)
-
-    def test_semistable_is_minimal(self):
-        types = self.rank2_types(0)
-        bottom = HNType([(2, 0)])
-        for t in types:
-            assert hn_leq(bottom, t)
 
 
 class TestHNCodim:

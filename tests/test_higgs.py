@@ -76,7 +76,7 @@ class TestVariantHodgeNumbers:
         for k in range(1, g):
             kbar = 2 * g - 2 * k - 1
             cover = fixed_locus_poincare(g, k) - coeff_extract_x(g, kbar)
-            assert cover == IntPoly.monomial(kbar, (4**g - 1) * math.comb(2 * g - 2, kbar))
+            assert cover == IntPoly([0] * kbar + [(4**g - 1) * math.comb(2 * g - 2, kbar)])
 
     @pytest.mark.parametrize("g", range(2, 13))
     def test_each_list_sums_to_the_dimension_and_is_symmetric(self, g):

@@ -1,10 +1,13 @@
-"""Package surface: the public names, what an import loads, and the docstring examples."""
+"""Package surface: the public names and what reaches them, what an import loads, what
+each pair of routes shares, and the README and docstring examples."""
 import ast
 import doctest
 import importlib
 import inspect
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import higgsmoduli
+from higgsmoduli import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "random"}
 
 
@@ -75,9 +80,9 @@ LEAN = {*HEAVY, "argparse", "gettext", "typing", "re", "signal", "__future__"}
         (["poincare", "--space", "higgs", "--genus", "3"], [*POINCARE, "higgs"], LEAN),
         (["mirror", "--genus", "3"], MIRROR, LEAN),
         (["mirror", "--genus", "3", "--sample", "5"], MIRROR, LEAN - {"random"}),
-        (["dims", "--rank", "2", "--genus", "3"], ["_cmd_geometry", "_record", "geometry"], LEAN),
-        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"],
-         ["_cmd_geometry", "_record", "geometry"], LEAN),
+        (["dims", "--rank", "2", "--genus", "3"], ["_cmd_geometry", "geometry"], LEAN),
+        (["spectral", "--rank", "2", "--genus", "3", "--degree", "1"], ["_cmd_geometry", "geometry"],
+         LEAN),
         (["git", "classify", "--weights", "1,-1"],
          ["_cmd_git", "_record", "geometry", "stability"], LEAN),
         (["git", "hm", "--blocks", "1:1:1:0,1:-1:1:1", "--m", "5", "--genus", "2"],
@@ -168,6 +173,121 @@ def test_submodule_exports_are_package_exports(name):
 def test_package_exports_resolve():
     for name in higgsmoduli.__all__:
         assert hasattr(higgsmoduli, name), name
+
+
+# Exported names that no command or demo reaches, each with the reason it stays.
+UNREACHED_EXPORTS = {
+    "recursion_strata_count": "perfbench/tracer.py counts the recursion's strata through it, and "
+                              "CI's trace step requires that count to be nonzero",
+}
+
+
+def names_in(tree):
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_is_reached_from_a_command_or_a_demo():
+    # start from the names the command line, its handlers and the demos use and
+    # follow names through the module-level definitions of the package
+    definitions = {}
+    for path in (SRC / "higgsmoduli").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in names_in(target):
+                        definitions.setdefault(name, []).append(node)
+    roots = [SRC / "higgsmoduli" / "cli.py", *(SRC / "higgsmoduli").glob("_cmd_*.py"),
+             *(ROOT / "demos").glob("*.py")]
+    reached = set().union(*(names_in(ast.parse(path.read_text())) for path in roots))
+    todo = list(reached)
+    while todo:
+        for node in definitions.get(todo.pop(), ()):
+            new = names_in(node) - reached
+            reached |= new
+            todo.extend(new)
+    # a listed name that is reached, or no longer exported, fails as well
+    assert set(higgsmoduli._MODULE_OF) - reached == set(UNREACHED_EXPORTS)
+
+
+def functions_called(route):
+    """The code object of every package function that route() enters, by sys.setprofile."""
+    called = {}
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("higgsmoduli."):
+            called[frame.f_code] = f"{module[len('higgsmoduli.'):]}.{frame.f_code.co_name}"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def mirror_right_side(g):
+    for _, minus in higgsmoduli.mirror._minus_counts(g, range(1, 4**g)):
+        higgsmoduli.mirror._rhs_from_count(g, minus)
+
+
+# Functions that both routes of a pair may call beyond the kernel and the two
+# input validators, each with the reason the share keeps the routes independent.
+SHARED_BY_DESIGN = {}
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        (lambda: higgsmoduli.poincare_N_closed(4), lambda: higgsmoduli.poincare_N_recursion(4)),
+        (lambda: higgsmoduli.poincare_M_closed(4), lambda: higgsmoduli.poincare_M_stratified(4)),
+        (lambda: higgsmoduli.e_poly_kappa_lhs(4), lambda: mirror_right_side(4)),
+    ],
+    ids=["N-closed-recursion", "M-closed-stratified", "mirror-lhs-rhs"],
+)
+def test_two_routes_share_only_the_kernel_and_the_validators(one, other):
+    # the routes are checked against each other, so a function both call must
+    # be one that cannot make them agree by itself
+    first, second = functions_called(one), functions_called(other)
+    shared = {first[code] for code in first.keys() & second.keys()}
+    assert "strata._check_genus" in shared
+    allowed = {"strata._check_genus", "strata._check_stratum", *SHARED_BY_DESIGN}
+    assert {name for name in shared if not name.startswith("exactpoly.")} <= allowed
+
+
+def readme_block(heading, language):
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n")[1].split("\n## ")[0]
+    return section.split(f"```{language}\n")[1].split("```")[0]
+
+
+def test_readme_library_example_states_its_values():
+    # each "expression  # value ..." line evaluates to the literal its comment starts with
+    setup, stated = [], []
+    for line in readme_block("Library", "python").splitlines():
+        expression, comment, text = line.partition("  # ")
+        if comment:
+            literal = re.match(r"\[[^]]*\]|'[^']*'|-?\d+", text).group()
+            stated.append((expression, ast.literal_eval(literal)))
+        else:
+            setup.append(line)
+    namespace = {}
+    exec("\n".join(setup), namespace)
+    assert len(stated) == 5
+    for expression, value in stated:
+        assert eval(expression, namespace) == value, expression
+
+
+def test_readme_command_lines_succeed():
+    calls = [shlex.split(line, comments=True)[1:]
+             for line in readme_block("Command line", "sh").splitlines()
+             if line.startswith("higgsmoduli ")]
+    assert len(calls) == 11
+    for argv in calls:
+        assert cli.run(argv) == 0, argv
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 
 from higgsmoduli._record import Record
 from higgsmoduli.exactpoly import IntPoly, TruncSeries
-from higgsmoduli.geometry import HNType
 from higgsmoduli.mirror import MirrorReport
 from higgsmoduli.stability import FiltrationData
 
@@ -36,12 +35,6 @@ CASES = {
         "lhs={(1, 0): 1}, rhs_sample={(1, 0): 1})",
         lambda: report(genus=3),
         "genus",
-    ),
-    "HNType": (
-        lambda: HNType(blocks=[(1, 1), (1, 0)]),
-        "HNType(blocks=((1, 1), (1, 0)))",
-        lambda: HNType([(1, 2), (1, -1)]),
-        "blocks",
     ),
     "FiltrationData": (
         lambda: FiltrationData(blocks=[(1, 1, 1, 0), (1, -1, 1, 1)], m=5, g=2),
@@ -103,7 +96,6 @@ def test_copies_are_equal(name):
 
 # Two builds of each record from a float or a string where an integer belongs.
 NON_INTEGER = {
-    "HNType": (lambda: HNType([(1.5, 0), (1, -1)]), lambda: HNType([(1, "0"), (1, -1)])),
     "FiltrationData": (
         lambda: FiltrationData([(1, 1, 1, 0), (1, -1, 1, 1)], m=5.9, g=2.7),
         lambda: FiltrationData([(1, 1, 1, "0"), (1, -1, 1, 1)], m=5, g=2),
