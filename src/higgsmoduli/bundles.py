@@ -49,7 +49,7 @@ def poincare_N_closed(g: int) -> IntPoly:
     6(g-1).  A nonzero remainder in the division cannot happen for a correct
     numerator and is re-raised as the implementation bug it would be.
     """
-    _check_genus(g)
+    g = _check_genus(g)
     numerator = _ONE_PLUS_T3 ** (2 * g) - (_ONE_PLUS_T ** (2 * g)).shift(2 * g)
     return poly_exact_div(numerator, _HN_DENOM)
 
@@ -61,7 +61,7 @@ def strata_equivariant_poly(g: int, order: int) -> TruncSeries:
     stratum: every stratum retracts onto a product of two Jacobian factors
     times two copies of BC^*.
     """
-    _check_genus(g)
+    g = _check_genus(g)
     return series_expand(_ONE_PLUS_T ** (4 * g), (_ONE_MINUS_T2, _ONE_MINUS_T2), order)
 
 
@@ -70,7 +70,7 @@ def classifying_space_poly(g: int, order: int) -> TruncSeries:
     Poincare series [(1+t)(1+t^3)]^(2g) / ((1-t^2)^2 (1-t^4)) of the
     classifying space of the complex gauge group, truncated at `order`.
     """
-    _check_genus(g)
+    g = _check_genus(g)
     numerator = (_ONE_PLUS_T * _ONE_PLUS_T3) ** (2 * g)
     return series_expand(numerator, (_ONE_MINUS_T2, _ONE_MINUS_T2, _ONE_MINUS_T4), order)
 
@@ -82,7 +82,7 @@ def _working_order(g: int, order: int | None) -> int:
     minimum = 8 * g - 5
     if order is None:
         return 8 * g
-    if operator.index(order) < minimum:
+    if (order := operator.index(order)) < minimum:
         raise ValueError(f"truncation order must be at least {minimum} for genus {g}")
     return order
 
@@ -100,7 +100,7 @@ def _strata_codims(g: int, window: int) -> list[int]:
 
 def recursion_strata_count(g: int, order: int | None = None) -> int:
     """How many unstable strata contribute below the working order."""
-    _check_genus(g)
+    g = _check_genus(g)
     return len(_strata_codims(g, _working_order(g, order)))
 
 
@@ -126,7 +126,7 @@ def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     8g - 6 before them, are checked; either failure would mean a
     transcription or implementation error.
     """
-    _check_genus(g)
+    g = _check_genus(g)
     window = _working_order(g, order)
     acc = _shifted_sum(_recursion_terms(g, window))
     n_series = TruncSeries(acc, window) * _ONE_MINUS_T2

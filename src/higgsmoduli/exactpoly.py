@@ -15,12 +15,11 @@ the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
 binary operations keep the smaller of the two orders.
 
-Polynomial products walk the nonzero coefficients of the shorter operand,
-scale the longer operand by each one into a row shifted to its exponent, and
-add the rows through the same shifted sum as + and -, in
-O(nnz(shorter) len(longer)) steps.  Every product the pipelines make has a
-factor of at most five coefficients (the test suite pins this), so the cost
-is linear in the longer one.
+Polynomial products walk the nonzero coefficients of the operand with fewer
+of them, scale the other operand by each one into a row shifted to its
+exponent, and add the rows through the same shifted sum as + and -, in
+O(nnz(sparser) len(other)) steps whoever calls them: a binomial 1 +- t^k
+times any polynomial costs two rows.
 
 Powers use J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
 section 4.7): q = p^n satisfies p q' = n p' q, which gives each coefficient
@@ -184,18 +183,18 @@ class IntPoly(Record):
 
     def __mul__(self, other: "int | IntPoly") -> "IntPoly":
         """
-        The product, in O(nnz(shorter) len(longer)) steps.
+        The product, in O(nnz(sparser) len(other)) steps.
 
-        Each nonzero coefficient b_j of the shorter operand scales the longer
-        operand into one row shifted by t^j, and the rows add through the
-        shifted sum that + and - use.
+        Each nonzero coefficient b_j of the sparser operand (on a tie, the
+        shorter) scales the other operand into one row shifted by t^j, and
+        the rows add through the shifted sum that + and - use.
         """
         if isinstance(other, int):
             return IntPoly._of_ints(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
+        if (len(a) - a.count(0), len(a)) < (len(b) - b.count(0), len(b)):
             a, b = b, a
         return _shifted_sum((j, tuple(map(c.__mul__, a))) for j, c in enumerate(b) if c)
 
@@ -215,7 +214,7 @@ class IntPoly(Record):
         >>> IntPoly([0, 1, 0, 0, -1]) ** 3
         IntPoly('t^3 - 3t^6 + 3t^9 - t^12')
         """
-        if n < 0:
+        if (n := operator.index(n)) < 0:
             raise ValueError("negative powers are not polynomials")
         if n == 0:
             return IntPoly([1])
@@ -267,8 +266,7 @@ class TruncSeries(Record):
 
     The polynomial part always satisfies degree < order; coefficients at or
     beyond the order are unknown, and asking for them is an error rather than
-    a silent zero.  Binary operations return the smaller of the two orders,
-    since that is all that both operands determine.
+    a silent zero.  A product keeps the smaller of the two orders.
     """
 
     __slots__ = _fields = ("poly", "order")

@@ -52,7 +52,7 @@ def fixed_locus_poincare(g: int, k: int) -> IntPoly:
     kbar = 2g - 2k - 1 an odd number between 1 and 2g - 3: the cover term
     is the table of strata.variant_hodge_numbers at u = v = t.
     """
-    kbar = _check_stratum(g, k)
+    g, k, kbar = _check_stratum(g, k)
     covers = (2 ** (2 * g) - 1) * sum(strata.variant_hodge_numbers(g, k))
     return _shifted_sum([(0, coeff_extract_x(g, kbar).coeffs), (kbar, (covers,))])
 
@@ -71,6 +71,7 @@ def poincare_M_stratified(g: int) -> IntPoly:
     added into one coefficient list.  Every summand tops out at degree
     exactly 6g - 6; anything larger is flagged as a bug.
     """
+    g = _check_genus(g)
     total = _shifted_sum(_bb_summands(g))
     if total.degree() > 6 * g - 6:
         raise DegreeOverflow(f"degree {total.degree()} exceeds {6 * g - 6}")
@@ -99,7 +100,7 @@ def poincare_M_closed(g: int) -> IntPoly:
     terms trip these checks: a wrong fourth term still has degree 6g - 6,
     and only the comparison with poincare_M_stratified exposes it.
     """
-    _check_genus(g)
+    g = _check_genus(g)
     bracket = _ONE_PLUS_T2 ** 2 * _ONE_PLUS_T ** (2 * g) - _ONE_PLUS_T ** 4 * _ONE_MINUS_T ** (2 * g)
     if any(c % 4 for c in bracket.coeffs):
         raise NonDivisible("the bracket of Hitchin's second term is not divisible by 4")

@@ -56,6 +56,7 @@ yields a kernel vector, whose zero row fails the identity; a kernel vector
 whose row is nonzero all the same raises PairingNotBilinear.  Every genus
 g >= 2 is accepted; the command line caps the genus it passes.
 """
+import operator
 from collections import defaultdict, namedtuple
 from math import comb
 
@@ -124,6 +125,7 @@ def weil_pairing(g: int, a: int, b: int) -> int:
     >>> weil_pairing(2, 0b0001, 0b1100)
     -1
     """
+    g, a, b = operator.index(g), operator.index(a), operator.index(b)
     if not (0 <= a < 1 << 2 * g and 0 <= b < 1 << 2 * g):
         raise ValueError(f"elements of the genus-{g} group are integers from 0 to 4^{g} - 1")
     parity = ((a & (b >> g)) ^ ((a >> g) & b)).bit_count() & 1
@@ -136,7 +138,7 @@ def fermionic_shift(g: int) -> int:
     complex codimension (6g-6) - (2g-2) of the gamma-fixed locus, since the
     gamma-action preserves the holomorphic symplectic form.
     """
-    strata._check_genus(g)
+    g = strata._check_genus(g)
     return 2 * g - 2
 
 
@@ -155,7 +157,7 @@ def e_poly_kappa_lhs(g: int) -> dict[tuple[int, int], int]:
     >>> e_poly_kappa_lhs(2)
     {(4, 3): -1, (3, 4): -1}
     """
-    strata._check_genus(g)
+    g = strata._check_genus(g)
     # Two strata put classes on one monomial only if their codimensions are
     # wrong; the dual is still the sum, so the classes add.
     coeffs = defaultdict(int)
@@ -268,7 +270,7 @@ def e_poly_rhs(g: int, gamma: int) -> dict[tuple[int, int], int]:
     argument.  Raises TrivialElement for gamma = 0, and ValueError for g
     below 2 or for gamma not in 0 .. 4^g - 1.
     """
-    strata._check_genus(g)
+    g = strata._check_genus(g)
     if gamma == 0:
         raise TrivialElement("the averaging sector is indexed by nonzero gamma")
     [(_, minus)] = _minus_counts(g, [gamma])
@@ -296,7 +298,7 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     PairingNotBilinear for a pairing the count cannot use, or ValueError
     for g below 2.
     """
-    strata._check_genus(g)
+    g = strata._check_genus(g)
     population = (1 << (2 * g)) - 1
     if sample is None or sample >= population:
         sample, gammas = population, [_certificate(g)]

@@ -19,25 +19,27 @@ The module imports nothing from the package, so the mirror check loads it
 without the polynomial kernel.  Its readers call these functions through
 the module at call time (strata.bb_codimension(g, k)), so a wrapper
 installed on the module attribute reaches every reader.  Genus and index
-are read with operator.index: a float or a string raises TypeError rather
-than being carried into a formula.
+are read with operator.index, and only the int it returns enters a formula:
+a float or a string raises TypeError, and an integer-like type gives the
+int's result.
 """
 import functools
 import operator
 
 
-def _check_genus(g: int) -> None:
+def _check_genus(g: int) -> int:
     """The genus of every rank-2 pipeline and of the mirror check: an integer, at least 2."""
-    if operator.index(g) < 2:
+    if (g := operator.index(g)) < 2:
         raise ValueError("genus must be at least 2")
+    return g
 
 
-def _check_stratum(g: int, k: int) -> int:
-    """Nontrivial fixed loci are indexed by k = 1 .. g-1; returns kbar = 2g - 2k - 1."""
-    _check_genus(g)
-    if not 1 <= operator.index(k) <= g - 1:
+def _check_stratum(g: int, k: int) -> tuple[int, int, int]:
+    """Nontrivial fixed loci are indexed by k = 1 .. g-1; returns g, k and kbar = 2g - 2k - 1."""
+    g = _check_genus(g)
+    if not 1 <= (k := operator.index(k)) <= g - 1:
         raise ValueError(f"k must lie in 1 .. {g - 1}")
-    return 2 * g - 2 * k - 1
+    return g, k, 2 * g - 2 * k - 1
 
 
 @functools.lru_cache(maxsize=1)
@@ -64,7 +66,7 @@ def variant_hodge_numbers(g: int, k: int) -> list[int]:
     >>> variant_hodge_numbers(3, 1)
     [0, 2, 2, 0]
     """
-    kbar = _check_stratum(g, k)
+    g, _, kbar = _check_stratum(g, k)
     row = _binomial_row(g)
     return list(map(operator.mul, row[:kbar + 1], row[kbar::-1]))
 
@@ -75,7 +77,7 @@ def bb_codimension(g: int, k: int) -> int:
     kbar = 2g - 2k - 1 the complex dimension of F_k, kbar + (g + 2k - 2) =
     3g - 3 ties the stratum weights to the middle dimension.
     """
-    _check_stratum(g, k)
+    g, k, _ = _check_stratum(g, k)
     return 2 * (g + 2 * k - 2)
 
 
@@ -86,7 +88,7 @@ def hn_codim_rank2(g: int, k: int) -> int:
     twice Atiyah-Bott's complex codimension d1 - d2 + g - 1 of type
     (d1, d2), here g + 2k - 2.  The first stratum, k = 1, is of type (1, 0).
     """
-    _check_genus(g)
-    if operator.index(k) < 1:
+    g = _check_genus(g)
+    if (k := operator.index(k)) < 1:
         raise ValueError("k must be at least 1")
     return 2 * g + 4 * k - 4

@@ -267,21 +267,38 @@ class TestKroneckerProduct:
 
     @pytest.mark.parametrize("g", [2, 10, 48])
     def test_pipeline_products_have_a_short_factor(self, g, monkeypatch):
-        # the product costs nnz(shorter) * len(longer) steps, which is linear
-        # only because every product the four pipelines make has a short factor
-        shorter = []
+        # the product costs nnz(sparser) * len(other) steps, so it is linear
+        # in the other operand while one factor has few nonzero coefficients;
+        # every product the four pipelines make has one with at most five
+        sparser = []
         mul = IntPoly.__mul__
 
         def recording(p, q):
             if isinstance(q, IntPoly):
-                shorter.append(min(len(p.coeffs), len(q.coeffs)))
+                sparser.append(min(len(c) - c.count(0) for c in (p.coeffs, q.coeffs)))
             return mul(p, q)
 
         monkeypatch.setattr(IntPoly, "__mul__", recording)
         monkeypatch.setattr(IntPoly, "__rmul__", recording)
         for pipeline in (poincare_N_closed, poincare_N_recursion, poincare_M_closed, poincare_M_stratified):
             pipeline(g)
-        assert shorter and max(shorter) <= 5, max(shorter)
+        assert sparser and max(sparser) <= 5, max(sparser)
+
+    def test_a_binomial_factor_is_walked_in_either_order(self, monkeypatch):
+        # (1 - t^398) times the 397 nonzero coefficients of P_t(S^198 X) at
+        # g = 100: the binomial is longer but sparser, so it gives the rows
+        rows = []
+
+        def recording(terms):
+            terms = list(terms)
+            rows.append(len(terms))
+            return _shifted_sum(terms)
+
+        monkeypatch.setattr(exactpoly, "_shifted_sum", recording)
+        binomial, dense = IntPoly([1] + [0] * 397 + [-1]), coeff_extract_x(100, 198)
+        products = binomial * dense, dense * binomial
+        assert rows == [2, 2]
+        assert products[0] == products[1] == dense - dense.shift(398)
 
 
 class TestPolyExactDiv:

@@ -313,6 +313,60 @@ def test_numeric_functions_reject_a_non_integer(name, args):
         getattr(higgsmoduli, name)(*args)
 
 
+class IntLike(int):
+    """An integer type whose arithmetic raises, as numpy.int64's can overflow:
+    a routine must compute with operator.index of it, a plain int."""
+
+
+def _refuse(*args):
+    raise AssertionError("arithmetic on the integer-like argument itself")
+
+
+for _op in ("add", "sub", "mul", "floordiv", "truediv", "mod", "divmod", "pow",
+            "lshift", "rshift", "and", "or", "xor"):
+    setattr(IntLike, f"__{_op}__", _refuse)
+    setattr(IntLike, f"__r{_op}__", _refuse)
+for _op in ("neg", "pos", "abs", "invert"):
+    setattr(IntLike, f"__{_op}__", _refuse)
+
+# A series' truncation order, passed as a plain int: series_expand takes any
+# order that slices and sizes a list.
+SERIES_ORDER = {"strata_equivariant_poly": (40,), "classifying_space_poly": (40,)}
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("variant_hodge_numbers", (5, 2)),
+        ("bb_codimension", (5, 2)),
+        ("hn_codim_rank2", (5, 2)),
+        ("poincare_N_closed", (4,)),
+        ("strata_equivariant_poly", (4,)),
+        ("classifying_space_poly", (4,)),
+        ("recursion_strata_count", (4, 33)),
+        ("poincare_N_recursion", (4, 33)),
+        ("fixed_locus_poincare", (4, 1)),
+        ("poincare_M_stratified", (4,)),
+        ("poincare_M_closed", (4,)),
+        ("fermionic_shift", (4,)),
+        ("e_poly_kappa_lhs", (4,)),
+        ("e_poly_rhs", (4, 5)),
+        ("weil_pairing", (2, 0b1101, 0b0110)),
+        ("mirror_verify", (4,)),
+        ("IntPoly.__pow__", (7,)),
+    ],
+)
+def test_numeric_functions_compute_with_the_index_of_an_int_like(name, args):
+    # a genus, stratum, exponent or pairing argument of an integer-like type,
+    # and the recursion's window, give the plain int's result
+    if name == "IntPoly.__pow__":
+        function = higgsmoduli.IntPoly([1, 0, -1]).__pow__
+    else:
+        function = getattr(higgsmoduli, name)
+    order = SERIES_ORDER.get(name, ())
+    assert function(*map(IntLike, args), *order) == function(*args, *order)
+
+
 # Every module of the package, so a doctest added anywhere runs; the modules
 # that have examples keep a floor on how many, so they cannot quietly vanish.
 MODULES = ["higgsmoduli", *(f"higgsmoduli.{m.name}" for m in pkgutil.iter_modules(higgsmoduli.__path__))]
