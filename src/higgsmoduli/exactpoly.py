@@ -13,7 +13,7 @@ floating point and no rounding anywhere.
 A polynomial is represented by the tuple of its coefficients starting with
 the constant term, so 1 - 2t + t^3 is IntPoly([1, -2, 0, 1]).  A truncated
 series of order n knows the coefficients of t^0 .. t^(n-1) and nothing else;
-binary operations keep the smaller of the two orders.
+a series times a polynomial keeps the series' order.
 
 Polynomial products walk the nonzero coefficients of the operand with fewer
 of them, scale the other operand by each one into a row shifted to its
@@ -266,7 +266,7 @@ class TruncSeries(Record):
 
     The polynomial part always satisfies degree < order; coefficients at or
     beyond the order are unknown, and asking for them is an error rather than
-    a silent zero.  A product keeps the smaller of the two orders.
+    a silent zero.  A series times a polynomial keeps the series' order.
     """
 
     __slots__ = _fields = ("poly", "order")
@@ -297,16 +297,11 @@ class TruncSeries(Record):
                 )
         return self.poly.truncate(max_degree + 1)
 
-    def __mul__(self, other: "int | IntPoly | TruncSeries") -> "TruncSeries":
-        # Terms at or past the result order cannot reach a kept coefficient.
-        if isinstance(other, TruncSeries):
-            order = min(self.order, other.order)
-            other = other.poly
-        else:
-            order = self.order
-        if isinstance(other, IntPoly):
-            other = other.truncate(order)
-        return TruncSeries(self.poly.truncate(order) * other, order)
+    def __mul__(self, other: IntPoly) -> "TruncSeries":
+        # Terms at or past the order cannot reach a kept coefficient.
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return TruncSeries(self.poly * other.truncate(self.order), self.order)
 
     __rmul__ = __mul__
 
@@ -361,11 +356,9 @@ def series_expand(numerator: IntPoly, factors, order: int) -> TruncSeries:
     >>> series_expand(IntPoly([1]), [IntPoly([1, -1])], 4).poly
     IntPoly('1 + t + t^2 + t^3')
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    coeffs = list(numerator.coeffs[:order])
-    coeffs += [0] * (order - len(coeffs))
-    return TruncSeries(_divide(coeffs, factors, exact=False), order)
+    series = TruncSeries(numerator, order)
+    coeffs = list(series.poly.coeffs) + [0] * (series.order - len(series.poly.coeffs))
+    return TruncSeries(_divide(coeffs, factors, exact=False), series.order)
 
 
 def coeff_extract_x(g: int, n: int) -> IntPoly:

@@ -271,7 +271,7 @@ def e_poly_rhs(g: int, gamma: int) -> dict[tuple[int, int], int]:
     below 2 or for gamma not in 0 .. 4^g - 1.
     """
     g = strata._check_genus(g)
-    if gamma == 0:
+    if (gamma := operator.index(gamma)) == 0:
         raise TrivialElement("the averaging sector is indexed by nonzero gamma")
     [(_, minus)] = _minus_counts(g, [gamma])
     return _rhs_from_count(g, minus)
@@ -300,7 +300,7 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
     """
     g = strata._check_genus(g)
     population = (1 << (2 * g)) - 1
-    if sample is None or sample >= population:
+    if sample is None or (sample := operator.index(sample)) >= population:
         sample, gammas = population, [_certificate(g)]
     else:
         if sample < 1:

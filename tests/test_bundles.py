@@ -43,7 +43,7 @@ class TestRecursionIngredients:
 
         half = series_expand(IntPoly([1, 1]) ** (2 * g), [IntPoly([1, 0, -1])], order)
         full = strata_equivariant_poly(g, order)
-        assert (half * half).poly == full.poly
+        assert (half * half.poly).poly == full.poly
 
     def test_classifying_space_genus_two(self):
         s = classifying_space_poly(2, 4)

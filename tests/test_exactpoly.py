@@ -382,11 +382,6 @@ class TestTruncSeries:
         with pytest.raises(IndexError):
             s.coefficient(0)
 
-    def test_min_order_on_binary_ops(self):
-        a = TruncSeries(ONE_PLUS_T, 5)
-        b = TruncSeries(ONE_PLUS_T, 3)
-        assert (a * b).order == 3
-
     def test_polynomial_part_guard(self):
         s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 6)
         with pytest.raises(TailNonzero):
@@ -404,15 +399,25 @@ class TestTruncSeries:
 
     def test_series_multiplication_matches_polynomial(self):
         p, q = IntPoly([1, 2, 3]), IntPoly([4, 0, 5])
-        s = TruncSeries(p, 4) * TruncSeries(q, 4)
+        s = TruncSeries(p, 4) * q
+        assert s.order == 4
         assert s.poly == (p * q).truncate(4)
+        assert q * TruncSeries(p, 4) == s
 
-    @given(polys, polys, st.integers(0, 14), st.integers(0, 14))
-    def test_truncated_product_matches_full_product(self, p, q, o1, o2):
-        full = schoolbook(p, q)
-        assert (TruncSeries(p, o1) * TruncSeries(q, o2)).poly == full.truncate(min(o1, o2))
-        assert (TruncSeries(p, o1) * q).poly == full.truncate(o1)
-        assert (TruncSeries(p, o1) * 3).poly == (p * 3).truncate(o1)
+    @given(polys, polys, st.integers(0, 14))
+    def test_truncated_product_matches_full_product(self, p, q, order):
+        product = TruncSeries(p, order) * q
+        assert product.order == order
+        assert product.poly == schoolbook(p, q).truncate(order)
+
+    def test_a_series_multiplies_only_a_polynomial(self):
+        # the series keeps its order, which no other operand has a rule for
+        s = TruncSeries(ONE_PLUS_T, 5)
+        for other in (TruncSeries(ONE_PLUS_T, 3), 3):
+            with pytest.raises(TypeError):
+                s * other
+            with pytest.raises(TypeError):
+                other * s
 
     @given(polys, factors, st.integers(0, 16))
     @settings(max_examples=60)
