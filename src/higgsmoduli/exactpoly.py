@@ -43,6 +43,7 @@ those entries all vanish exactly when r = 0: they are dropped, and the next
 factor divides the quotient.  A nonzero one raises NonDivisible instead of
 returning an approximation.
 """
+import math
 import operator
 
 from ._record import Record
@@ -123,7 +124,7 @@ class IntPoly(Record):
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by t^k."""
-        if k < 0:
+        if (k := operator.index(k)) < 0:
             raise ValueError("shift must be nonnegative")
         return IntPoly._of_ints((0,) * k + self.coeffs)
 
@@ -218,9 +219,8 @@ class IntPoly(Record):
             raise ValueError("negative powers are not polynomials")
         if n == 0:
             return IntPoly([1])
-        if self.is_zero():
+        if (v := self.valuation()) < 0:
             return self
-        v = self.valuation()
         p = self.coeffs[v:]
         p0 = p[0]
         terms = [(i, c) for i, c in enumerate(p) if i and c]
@@ -273,8 +273,6 @@ class TruncSeries(Record):
 
     def __init__(self, poly: IntPoly, order: int):
         order = operator.index(order)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
         object.__setattr__(self, "poly", poly.truncate(order))
         object.__setattr__(self, "order", order)
 
@@ -290,12 +288,12 @@ class TruncSeries(Record):
         Every known coefficient above max_degree must vanish; a nonzero one
         means the expected tail cancellation did not happen.
         """
-        for i in range(max_degree + 1, self.order):
+        for i in range(end := operator.index(max_degree) + 1, self.order):
             if self.poly.coefficient(i) != 0:
                 raise TailNonzero(
                     f"coefficient {self.poly.coefficient(i)} at t^{i} past degree {max_degree}"
                 )
-        return self.poly.truncate(max_degree + 1)
+        return self.poly.truncate(end)
 
     def __mul__(self, other: IntPoly) -> "TruncSeries":
         # Terms at or past the order cannot reach a kept coefficient.
@@ -377,11 +375,12 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     the rise j = 0 .. top + 1.  Past t^(2g) the row is zero, so the sums
     alternate between the last two, and repeating them extends the rise to
     t^n; cut at t^n, the rise is then mirrored, along one path for every n.
-    The parity prefix sums are built only up to top + 1 and kept for the
-    genus of the last call, growing when a later call needs more, so
-    consecutive calls at one genus (the fixed loci of one Higgs moduli
-    space) share them: O(n + g) exact integer steps for the first call and
-    O(n) list slicing for the next.
+    The parity prefix sums are built only up to top + 1 and cached, as a
+    list alone, for the genus of the last call.  A call needing more
+    resumes them from math.comb, and an interrupted extension leaves a
+    correct, shorter list.  Calls at one genus (the fixed loci of one Higgs
+    moduli space) share them: O(min(n, 2g)) integer steps to grow them,
+    and O(n) list slicing for each call.
 
     >>> coeff_extract_x(2, 1)
     IntPoly('1 + 4t + t^2')
@@ -395,20 +394,19 @@ def coeff_extract_x(g: int, n: int) -> IntPoly:
     return IntPoly._of_ints(half + half[-2::-1])
 
 
-# The parity prefix sums of the binomial row C(2g, .) for the genus of the
-# last call only, as far along the row as any call at that genus has asked,
-# with the binomial coefficient that extends them.
-_PARITY_PREFIX: dict[int, tuple[list[int], int]] = {}
+# coeff_extract_x's parity prefix sums, for one genus: the list alone, each
+# entry correct given the ones before it, extended from math.comb.
+_PARITY_PREFIX: dict[int, list[int]] = {}
 
 
 def _parity_prefix(g: int, top: int) -> list[int]:
     """prefix[c] = C(2g, c) + C(2g, c - 2) + C(2g, c - 4) + ... for c = 0 .. top at least."""
-    prefix, binom = _PARITY_PREFIX.get(g, ([], 1))
-    if len(prefix) > top:
+    if len(prefix := _PARITY_PREFIX.get(g, [])) > top:
         return prefix
+    _PARITY_PREFIX.clear()
+    _PARITY_PREFIX[g] = prefix
+    binom = math.comb(2 * g, len(prefix))
     for c in range(len(prefix), top + 1):
         prefix.append(binom + (prefix[c - 2] if c >= 2 else 0))
         binom = binom * (2 * g - c) // (c + 1)
-    _PARITY_PREFIX.clear()
-    _PARITY_PREFIX[g] = prefix, binom
     return prefix

@@ -26,9 +26,9 @@ Both sides carry the E-polynomial sign convention, which weights the
 monomial u^p v^q by (-1)^(p+q); concretely the sign arrives on the left as
 (-1)^(p+q) on each class of type (p, q), and on the right as the
 substitution (u, v) -> (-u, -v) on the bare Hodge sum.  The right side is
-written in one pass, each of its g^2 coefficients once, from a binomial row
-of its own (math.comb); it shares no code with the left side, which reads
-the binomial row of the strata module.  Both sides are plain dicts from
+written in one pass, each of its g^2 coefficients once, from math.comb,
+which the strata binomial row of the left side reads too; a test pins that
+the sides share no package function.  Both sides are plain dicts from
 (p, q) to the coefficient of u^p v^q, which each side writes directly and
 without zeros, so dict equality is equality of polynomials and the check
 loads neither the polynomial kernel nor the Betti pipelines.

@@ -24,6 +24,7 @@ a float or a string raises TypeError, and an integer-like type gives the
 int's result.
 """
 import functools
+import math
 import operator
 
 
@@ -45,14 +46,11 @@ def _check_stratum(g: int, k: int) -> tuple[int, int, int]:
 @functools.lru_cache(maxsize=1)
 def _binomial_row(g: int) -> tuple[int, ...]:
     """
-    C(g-1, c) for c = 0 .. 2g-3, by the multiplicative recurrence, padded
-    with zeros so that every index kbar - p of variant_hodge_numbers reads
-    it.  One row serves the g - 1 fixed loci of a genus.
+    C(g-1, c) for c = 0 .. 2g-3, math.comb's row: it is zero past c = g-1,
+    so every index kbar - p of variant_hodge_numbers reads it.  One row
+    serves the g - 1 fixed loci of a genus.
     """
-    row = [1]
-    for c in range(1, g):
-        row.append(row[-1] * (g - c) // c)
-    return tuple(row + [0] * (g - 2))
+    return tuple(math.comb(g - 1, c) for c in range(2 * g - 2))
 
 
 def variant_hodge_numbers(g: int, k: int) -> list[int]:

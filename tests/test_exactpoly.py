@@ -2,6 +2,7 @@
 import json
 import math
 import operator
+import sys
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import higgsmoduli.exactpoly as exactpoly
+from higgsmoduli import cli
 from higgsmoduli.bundles import poincare_N_closed, poincare_N_recursion
 from higgsmoduli.exactpoly import (
     IntPoly,
@@ -73,6 +75,25 @@ NOT_ONE_PLUS_MINUS_T_K = [
     IntPoly([]), IntPoly([1]), IntPoly([4]), IntPoly([0, 1]), IntPoly([0, 2]), IntPoly([-1, 1]),
     IntPoly([1, 2]), IntPoly([1, 1, 1]), IntPoly([1, 0, -2]), IntPoly([2, 0, 2]), 4,
 ]
+
+
+class Interrupted(Exception):
+    """Stops a computation part-way; unlike KeyboardInterrupt, pytest carries on."""
+
+
+def interrupt_parity_prefix(after):
+    """A sys.settrace hook that raises Interrupted at the after-th line event
+    inside exactpoly._parity_prefix."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        if events == after:
+            raise Interrupted
+        return local
+
+    return lambda frame, event, arg: local if frame.f_code is exactpoly._parity_prefix.__code__ else None
 
 
 def product(polys):
@@ -338,6 +359,12 @@ class TestPolyExactDiv:
         with pytest.raises(NonDivisible, match="remainder is nonzero"):
             poly_exact_div(num, [ONE_PLUS_T] * n)
 
+    def test_a_malformed_factor_is_refused_before_any_pass(self):
+        # 1 - t leaves the remainder 2 of 1 + t, but the 1 + 2t after it is
+        # refused first: every factor is checked before the first pass
+        with pytest.raises(ValueError):
+            poly_exact_div(ONE_PLUS_T, [ONE_MINUS_T, IntPoly([1, 2])])
+
     def test_zero_cases(self):
         assert poly_exact_div(IntPoly([]), [ONE_PLUS_T]) == IntPoly([])
         with pytest.raises(ValueError):
@@ -502,6 +529,44 @@ class TestCoeffExtract:
         # sliced when it needs less
         calls = [(g, n) for n in (3, 16, 0, 11, 9, 21, 1) for g in (5, 7, 5)]
         assert [coeff_extract_x(g, n) for g, n in calls] == [macdonald_double_loop(g, n) for g, n in calls]
+
+    @pytest.mark.parametrize("g", [3, 10, 40])
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    def test_growth_order_matches_fresh_results(self, g, rising, monkeypatch):
+        # rising n grows the cached row call by call; falling n, the
+        # stratified sum's order, builds it once and slices it
+        monkeypatch.setattr(exactpoly, "_PARITY_PREFIX", {})
+        ns = list(range(4 * g + 3))
+        fresh = {}
+        for n in ns:
+            exactpoly._PARITY_PREFIX.clear()
+            fresh[n] = coeff_extract_x(g, n)
+        exactpoly._PARITY_PREFIX.clear()
+        for n in ns if rising else reversed(ns):
+            assert coeff_extract_x(g, n) == fresh[n], n
+
+    @pytest.mark.parametrize("via", ["kernel", "cli"])
+    def test_an_interrupted_extension_leaves_a_correct_row(self, via, monkeypatch, capsys):
+        # an extension stopped part-way, as by KeyboardInterrupt or MemoryError,
+        # must leave the cache correct for every later call at that genus
+        monkeypatch.setattr(exactpoly, "_PARITY_PREFIX", {})
+        argv = ["macdonald", "--genus", "10", "--n", "15", "--format", "json"]
+        if via == "cli":
+            assert cli.run(argv) == 0
+            fresh, read = capsys.readouterr().out, lambda: cli.run(argv) or capsys.readouterr().out
+        else:
+            fresh, read = coeff_extract_x(10, 15), lambda: coeff_extract_x(10, 15)
+        exactpoly._PARITY_PREFIX.clear()
+        coeff_extract_x(10, 3)  # caches the row up to c = 4
+        previous = sys.gettrace()
+        sys.settrace(interrupt_parity_prefix(after=10))
+        try:
+            with pytest.raises(Interrupted):
+                coeff_extract_x(10, 15)
+        finally:
+            sys.settrace(previous)
+        assert 5 < len(exactpoly._PARITY_PREFIX[10]) < 16  # stopped part-way
+        assert read() == fresh
 
     def test_small_n_builds_only_the_head_of_the_row(self, monkeypatch):
         # C(10000, 0..10000) would take about 12 MB; n = 1 needs two of its sums

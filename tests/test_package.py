@@ -352,16 +352,20 @@ for _op in ("neg", "pos", "abs", "invert"):
         ("mirror_verify", (4,)),
         ("IntPoly.__pow__", (7,)),
         ("mirror_verify", (4, 5)),
+        ("IntPoly.shift", (2,)),
+        ("TruncSeries.polynomial_part", (1,)),
     ],
 )
 def test_numeric_functions_compute_with_the_index_of_an_int_like(name, args):
-    # a genus, stratum, exponent, pairing argument or sample of an
-    # integer-like type, and a series' order or the recursion's window, give
-    # the plain int's result
-    if name == "IntPoly.__pow__":
-        function = higgsmoduli.IntPoly([1, 0, -1]).__pow__
-    else:
-        function = getattr(higgsmoduli, name)
+    # a genus, stratum, exponent, pairing argument, sample, shift or degree
+    # of an integer-like type, and a series' order or the recursion's
+    # window, give the plain int's result
+    methods = {
+        "IntPoly.__pow__": higgsmoduli.IntPoly([1, 0, -1]).__pow__,
+        "IntPoly.shift": higgsmoduli.IntPoly([1, 1]).shift,
+        "TruncSeries.polynomial_part": higgsmoduli.TruncSeries(higgsmoduli.IntPoly([1, 2]), 5).polynomial_part,
+    }
+    function = methods[name] if name in methods else getattr(higgsmoduli, name)
     assert function(*map(IntLike, args)) == function(*args)
 
 
