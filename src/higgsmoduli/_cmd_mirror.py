@@ -10,8 +10,8 @@ def mirror(args) -> tuple[dict, list, list]:
         "genus": report.genus,
         "elements_checked": report.elements_checked,
         "pass": True,
-        "lhs": {f"{p},{q}": c for (p, q), c in sorted(report.lhs.items())},
-        "rhs_sample": {f"{p},{q}": c for (p, q), c in sorted(report.rhs_sample.items())},
+        "lhs": {f"{p},{q}": c for (p, q), c in report.lhs.items()},
+        "rhs_sample": {f"{p},{q}": c for (p, q), c in report.rhs_sample.items()},
     }
     plain = f"genus {report.genus}: {report.elements_checked} elements checked, pass"
     latex = [("genus", report.genus), ("elements checked", report.elements_checked),

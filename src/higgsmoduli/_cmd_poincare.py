@@ -23,13 +23,13 @@ def poincare(args):
         poly, poly_b = route_a(g), route_b(g)
         payload["agree"] = poly == poly_b
         if not payload["agree"]:
-            payload[f"coeffs_{name_a}"] = poly.to_coeff_list()
-            payload[f"coeffs_{name_b}"] = poly_b.to_coeff_list()
+            payload[f"coeffs_{name_a}"] = poly.coeffs
+            payload[f"coeffs_{name_b}"] = poly_b.coeffs
             rows = [(name_a, poly), (name_b, poly_b)]
             return payload, [*rows, "PIPELINES DISAGREE"], rows
         del poly_b  # only poly is printed
         lines = [poly, f"{name_a} and {name_b} agree"]
-    payload["coeffs"] = poly.to_coeff_list()
+    payload["coeffs"] = poly.coeffs
     return payload, lines, poly
 
 
@@ -37,4 +37,4 @@ def macdonald(args):
     from . import exactpoly
 
     poly = exactpoly.coeff_extract_x(args.genus, args.n)
-    return {"genus": args.genus, "n": args.n, "coeffs": poly.to_coeff_list()}, [poly], poly
+    return {"genus": args.genus, "n": args.n, "coeffs": poly.coeffs}, [poly], poly

@@ -75,18 +75,6 @@ def classifying_space_poly(g: int, order: int) -> TruncSeries:
     return series_expand(numerator, (_ONE_MINUS_T2, _ONE_MINUS_T2, _ONE_MINUS_T4), order)
 
 
-def _working_order(g: int, order: int | None) -> int:
-    # The window must cover P_t of the semistable stratum before the final
-    # division: that polynomial has degree exactly 8g - 6.  The default runs
-    # five coefficients further, a guard range that must come out zero.
-    minimum = 8 * g - 5
-    if order is None:
-        return 8 * g
-    if (order := operator.index(order)) < minimum:
-        raise ValueError(f"truncation order must be at least {minimum} for genus {g}")
-    return order
-
-
 def _strata_codims(g: int, window: int) -> list[int]:
     # Read through the module at each call, so a wrapper installed on
     # strata.hn_codim_rank2 is called.
@@ -99,9 +87,13 @@ def _strata_codims(g: int, window: int) -> list[int]:
 
 
 def recursion_strata_count(g: int, order: int | None = None) -> int:
-    """How many unstable strata contribute below the working order."""
+    """
+    How many unstable strata lie below the window order, 8g by default.
+    order stays only because perfbench/tracer.py passes it positionally
+    (ROADMAP.md item 0a); no recursion runs in that window.
+    """
     g = _check_genus(g)
-    return len(_strata_codims(g, _working_order(g, order)))
+    return len(_strata_codims(g, 8 * g if order is None else operator.index(order)))
 
 
 def _recursion_terms(g: int, window: int):
@@ -113,7 +105,7 @@ def _recursion_terms(g: int, window: int):
         yield codim, minus[:window - codim]
 
 
-def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
+def poincare_N_recursion(g: int) -> IntPoly:
     """
     The Atiyah-Bott recursion.  Subtracts the stratum series, each shifted
     by its codimension and cut at the window, from the classifying-space
@@ -127,7 +119,10 @@ def poincare_N_recursion(g: int, order: int | None = None) -> IntPoly:
     transcription or implementation error.
     """
     g = _check_genus(g)
-    window = _working_order(g, order)
+    # The window covers P_t of the semistable stratum before the final
+    # division, of degree exactly 8g - 6, and five coefficients more: a
+    # guard range that polynomial_part requires to be zero.
+    window = 8 * g
     acc = _shifted_sum(_recursion_terms(g, window))
     n_series = TruncSeries(acc, window) * _ONE_MINUS_T2
     n_poly = n_series.polynomial_part(8 * g - 6)

@@ -71,8 +71,8 @@ class IntPoly(Record):
 
     >>> IntPoly([1, 0, 1, 4])
     IntPoly('1 + t^2 + 4t^3')
-    >>> IntPoly([0, 0]).is_zero()
-    True
+    >>> IntPoly([0, 0]).coeffs
+    ()
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -90,9 +90,6 @@ class IntPoly(Record):
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -191,7 +188,7 @@ class IntPoly(Record):
         the rows add through the shifted sum that + and - use.
         """
         if isinstance(other, int):
-            return IntPoly._of_ints(c * other for c in self.coeffs)
+            return IntPoly._of_ints(map(operator.index(other).__mul__, self.coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

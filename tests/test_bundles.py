@@ -55,8 +55,11 @@ class TestRecursionIngredients:
         assert strata_equivariant_poly(2, 1).poly == IntPoly([1])
 
     def test_strata_count_genus_two(self):
-        # codims 4, 8 and 12 fall inside the default window 8g = 16
+        # genus 2's strata sit at codimensions 4, 8, 12 and 16; a window
+        # counts those strictly below it, and None means the default 8g = 16
         assert recursion_strata_count(2) == 3
+        counts = [recursion_strata_count(2, w) for w in (4, 5, None, 17)]
+        assert counts == [0, 1, 3, 4]
 
     def test_strata_count_grows_with_genus(self):
         counts = [recursion_strata_count(g) for g in range(2, 8)]
@@ -71,22 +74,6 @@ class TestRecursion:
     def test_matches_closed_form(self):
         for g in range(2, 6):
             assert poincare_N_recursion(g) == poincare_N_closed(g)
-
-    def test_larger_order_same_answer(self):
-        g = 3
-        default = poincare_N_recursion(g)
-        assert poincare_N_recursion(g, order=8 * g + 5) == default
-
-    def test_order_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            poincare_N_recursion(2, order=7)
-
-    @pytest.mark.parametrize("g", [2, 3, 10])
-    def test_minimum_order_is_exactly_8g_minus_5(self, g):
-        # the window must hold P_t of the semistable stratum, of degree 8g - 6
-        assert poincare_N_recursion(g, order=8 * g - 5) == poincare_N_closed(g)
-        with pytest.raises(ValueError, match=f"at least {8 * g - 5} "):
-            poincare_N_recursion(g, order=8 * g - 6)
 
     @pytest.mark.parametrize("g", [2, 3, 10])
     @pytest.mark.parametrize("at", [0, 1, -1])

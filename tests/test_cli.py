@@ -173,7 +173,7 @@ class TestPoincare:
 
         monkeypatch.setattr(
             bundles, "poincare_N_recursion",
-            lambda g, order=None: IntPoly([1]),
+            lambda g: IntPoly([1]),
         )
         code, out, _ = invoke(
             capsys,

@@ -30,7 +30,7 @@ ONE_MINUS_T = IntPoly([1, -1])
 
 def schoolbook(p, q):
     """The dense double loop, kept here as the oracle for the sparse product."""
-    if p.is_zero() or q.is_zero():
+    if not (p.coeffs and q.coeffs):
         return IntPoly()
     out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, c in enumerate(p.coeffs):
@@ -106,8 +106,8 @@ def product(polys):
 class TestIntPoly:
     def test_trailing_zeros_trimmed(self):
         assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
-        assert IntPoly([0, 0]).is_zero()
-        assert IntPoly([]).is_zero()
+        assert IntPoly([0, 0]).coeffs == ()
+        assert IntPoly([]).coeffs == ()
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
@@ -381,7 +381,7 @@ class TestPolyExactDiv:
         # the vanishing of a pass's last k entries can reject a + r / divisor
         divisor = product(fs)
         pr = IntPoly(r).truncate(divisor.degree())
-        assume(not pr.is_zero())
+        assume(pr.coeffs)
         with pytest.raises(NonDivisible, match="remainder is nonzero"):
             poly_exact_div(schoolbook(pa, divisor) + pr, fs)
 

@@ -341,7 +341,7 @@ for _op in ("neg", "pos", "abs", "invert"):
         ("strata_equivariant_poly", (4, 40)),
         ("classifying_space_poly", (4, 40)),
         ("recursion_strata_count", (4, 33)),
-        ("poincare_N_recursion", (4, 33)),
+        ("poincare_N_recursion", (4,)),
         ("fixed_locus_poincare", (4, 1)),
         ("poincare_M_stratified", (4,)),
         ("poincare_M_closed", (4,)),
@@ -354,16 +354,20 @@ for _op in ("neg", "pos", "abs", "invert"):
         ("mirror_verify", (4, 5)),
         ("IntPoly.shift", (2,)),
         ("TruncSeries.polynomial_part", (1,)),
+        ("IntPoly.__mul__", (3,)),
+        ("IntPoly.__rmul__", (3,)),
     ],
 )
 def test_numeric_functions_compute_with_the_index_of_an_int_like(name, args):
-    # a genus, stratum, exponent, pairing argument, sample, shift or degree
-    # of an integer-like type, and a series' order or the recursion's
-    # window, give the plain int's result
+    # a genus, stratum, exponent, pairing argument, sample, shift, degree or
+    # scalar factor of an integer-like type, and a series' order or the
+    # strata counter's window, give the plain int's result
     methods = {
         "IntPoly.__pow__": higgsmoduli.IntPoly([1, 0, -1]).__pow__,
         "IntPoly.shift": higgsmoduli.IntPoly([1, 1]).shift,
         "TruncSeries.polynomial_part": higgsmoduli.TruncSeries(higgsmoduli.IntPoly([1, 2]), 5).polynomial_part,
+        "IntPoly.__mul__": higgsmoduli.IntPoly([1, 2]).__mul__,
+        "IntPoly.__rmul__": higgsmoduli.IntPoly([1, 2]).__rmul__,
     }
     function = methods[name] if name in methods else getattr(higgsmoduli, name)
     assert function(*map(IntLike, args)) == function(*args)
