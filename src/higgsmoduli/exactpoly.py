@@ -172,9 +172,7 @@ class IntPoly(Record):
         return _shifted_sum([(0, self.coeffs), (0, other.coeffs)])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return _shifted_sum([(0, self.coeffs), (0, tuple(map(operator.neg, other.coeffs)))])
+        return self + -other if isinstance(other, IntPoly) else NotImplemented
 
     def __neg__(self) -> "IntPoly":
         return IntPoly._of_ints(-c for c in self.coeffs)
@@ -259,11 +257,10 @@ def _shifted_sum(terms) -> IntPoly:
 
 class TruncSeries(Record):
     """
-    A power series in t known modulo t^order.
-
-    The polynomial part always satisfies degree < order; coefficients at or
-    beyond the order are unknown, and asking for them is an error rather than
-    a silent zero.  A series times a polynomial keeps the series' order.
+    A power series in t known modulo t^order: its known coefficients are
+    poly's below order, and those at or beyond it are unknown.  Three things
+    read it: the recursion's product by a polynomial, which keeps the
+    series' order, the polynomial_part guard, and the tracer's .order.
     """
 
     __slots__ = _fields = ("poly", "order")
@@ -273,11 +270,6 @@ class TruncSeries(Record):
         object.__setattr__(self, "poly", poly.truncate(order))
         object.__setattr__(self, "order", order)
 
-    def coefficient(self, i: int) -> int:
-        if not 0 <= i < self.order:
-            raise IndexError(f"coefficient of t^{i} is not determined at order {self.order}")
-        return self.poly.coefficient(i)
-
     def polynomial_part(self, max_degree: int) -> IntPoly:
         """
         The series as an exact polynomial of degree <= max_degree.
@@ -285,12 +277,11 @@ class TruncSeries(Record):
         Every known coefficient above max_degree must vanish; a nonzero one
         means the expected tail cancellation did not happen.
         """
-        for i in range(end := operator.index(max_degree) + 1, self.order):
-            if self.poly.coefficient(i) != 0:
-                raise TailNonzero(
-                    f"coefficient {self.poly.coefficient(i)} at t^{i} past degree {max_degree}"
-                )
-        return self.poly.truncate(end)
+        head = self.poly.truncate(end := operator.index(max_degree) + 1)
+        for i, c in enumerate(self.poly.coeffs[end:], end):
+            if c:
+                raise TailNonzero(f"coefficient {c} at t^{i} past degree {max_degree}")
+        return head
 
     def __mul__(self, other: IntPoly) -> "TruncSeries":
         # Terms at or past the order cannot reach a kept coefficient.

@@ -172,9 +172,8 @@ def e_poly_kappa_lhs(g: int) -> dict[tuple[int, int], int]:
 
 def _check_alternating(g: int, gamma: int) -> None:
     """Raise PairingNotAlternating unless gamma pairs to 1 with itself."""
-    self_pairing = weil_pairing(g, gamma, gamma)
-    if self_pairing != 1:
-        raise PairingNotAlternating(g, _bits(g, gamma), self_pairing)
+    if (value := weil_pairing(g, gamma, gamma)) != 1:
+        raise PairingNotAlternating(g, _bits(g, gamma), value)
 
 
 def _minus_counts(g: int, gammas):
@@ -309,7 +308,7 @@ def mirror_verify(g: int, sample: int | None = None, seed: int = 0) -> MirrorRep
 
         # Floyd's draw: `sample` distinct values, uniform, in `sample` steps.
         # random.sample takes the population's len, past ssize_t from g = 32 on.
-        draw, gammas = random.Random(seed).randrange, {}
+        draw, gammas = random.Random(operator.index(seed)).randrange, {}
         for top in range(population - sample + 1, population + 1):
             value = draw(1, top + 1)
             gammas[top if value in gammas else value] = None

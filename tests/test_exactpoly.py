@@ -390,7 +390,7 @@ class TestTruncSeries:
     def test_geometric_like_expansion(self):
         # (1+t)^2 / (1-t) = 1 + 3t + 4t^2 + 4t^3 + 4t^4 + ...
         s = series_expand(ONE_PLUS_T**2, [ONE_MINUS_T], 5)
-        assert [s.coefficient(i) for i in range(5)] == [1, 3, 4, 4, 4]
+        assert [s.poly.coefficient(i) for i in range(5)] == [1, 3, 4, 4, 4]
 
     def test_factor_other_than_one_plus_minus_t_k_is_refused(self):
         # among them t, whose zero constant term has no power-series inverse
@@ -398,16 +398,10 @@ class TestTruncSeries:
             with pytest.raises(ValueError):
                 series_expand(ONE_PLUS_T, [factor], 3)
 
-    def test_coefficient_past_order(self):
-        s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 3)
-        with pytest.raises(IndexError):
-            s.coefficient(3)
-
     def test_order_zero_is_empty(self):
         s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 0)
         assert s.order == 0
-        with pytest.raises(IndexError):
-            s.coefficient(0)
+        assert s.poly == IntPoly([])
 
     def test_polynomial_part_guard(self):
         s = series_expand(ONE_PLUS_T, [ONE_MINUS_T], 6)
@@ -415,6 +409,10 @@ class TestTruncSeries:
             s.polynomial_part(2)
         exact = TruncSeries(IntPoly([1, 2]), 6)
         assert exact.polynomial_part(3) == IntPoly([1, 2])
+        assert TruncSeries(IntPoly([]), 6).polynomial_part(-1) == IntPoly([])
+        # a window below the constant term is refused, as a negative order is
+        with pytest.raises(ValueError):
+            exact.polynomial_part(-2)
 
     @pytest.mark.parametrize("max_degree", [0, 3, 7])
     def test_polynomial_part_reads_the_first_guard_coefficient(self, max_degree):
@@ -423,6 +421,11 @@ class TestTruncSeries:
         with pytest.raises(TailNonzero, match=f"at t\\^{max_degree + 1} "):
             s.polynomial_part(max_degree)
         assert s.polynomial_part(max_degree + 1) == s.poly
+        # of several nonzero tail coefficients, the message names the lowest
+        s = TruncSeries(IntPoly([1] + [0] * (max_degree + 1) + [5, 7]), max_degree + 4)
+        with pytest.raises(TailNonzero) as raised:
+            s.polynomial_part(max_degree)
+        assert str(raised.value) == f"coefficient 5 at t^{max_degree + 2} past degree {max_degree}"
 
     def test_series_multiplication_matches_polynomial(self):
         p, q = IntPoly([1, 2, 3]), IntPoly([4, 0, 5])

@@ -32,7 +32,7 @@ def test_stratum_series_matches_sympy_expansion():
     series = sympy.series(expr, t, 0, order).removeO()
     expected = [int(series.coeff(t, i)) for i in range(order)]
     got = strata_equivariant_poly(g, order)
-    assert expected == [got.coefficient(i) for i in range(order)]
+    assert expected == [got.poly.coefficient(i) for i in range(order)]
     assert expected == [1, 8, 30, 72, 129]
 
 
